@@ -51,7 +51,6 @@ from .errors import (
     NotW1AP,
     ParseError,
     RingMismatch,
-    SearchCapExceeded,
     ZeroInS,
 )
 from .expr import Idealize, LocalAlg, Localize, Product, Quotient, RingExpr, Zn
@@ -81,18 +80,16 @@ from .ideals import (
 )
 from .rings import (
     DEFAULT_ELEMENT_CAP,
-    ISO_SEARCH_CAP,
     FiniteRing,
     Homomorphism,
-    additive_order,
     element_cap,
-    find_isomorphism,
     make_idealization,
     make_local_algebra,
     make_localization,
     make_product,
     make_quotient,
     make_zn,
+    zn_isomorphism,
 )
 from .theorems import (
     CHECK_ORDER,

@@ -24,7 +24,7 @@ or before the weak one and one pass resolves both.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -153,7 +153,7 @@ _SCAN_FAMILIES = (
 
 
 def _scan_witness(p: Ideal, key: str) -> tuple | None:
-    cached = p.__dict__.setdefault("_scan_witnesses", {})
+    cached = p._scan_witnesses
     if key not in cached:
         for (strict_key, weak_key), scan in _SCAN_FAMILIES:
             if key in (strict_key, weak_key):
@@ -208,9 +208,8 @@ def classify(p: Ideal) -> PropertyReport:
     """Full report over all six classes, with witnesses for every False
     verdict. The implication diagram between the verdicts is asserted."""
     _require_proper(p)
-    cached = p.__dict__.get("_report")
-    if cached is not None:
-        return cached
+    if p._report is not None:
+        return p._report
     wits = _scans(p)
     verdicts = {k: wits[k] is None for k in VERDICT_KEYS}
     for src, dst in IMPLICATIONS:
@@ -218,9 +217,8 @@ def classify(p: Ideal) -> PropertyReport:
             raise AssertionError(
                 f"implication {src} -> {dst} broken on {p!r}; engine bug")
     footnotes = (ZERO_IDEAL_FOOTNOTE,) if p.is_zero else ()
-    report = PropertyReport(p, verdicts, dict(wits), footnotes)
-    p.__dict__["_report"] = report
-    return report
+    p._report = PropertyReport(p, verdicts, dict(wits), footnotes)
+    return p._report
 
 
 def witness_violates(p: Ideal, key: str, witness: tuple) -> bool:

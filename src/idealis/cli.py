@@ -19,13 +19,7 @@ import sys
 from . import __version__
 from .classify import VERDICT_KEYS, classify, witness_violates
 from .dsl import build_ring_text, ideal_text, parse_ideal
-from .errors import (
-    CapExceeded,
-    EngineError,
-    LatticeCapExceeded,
-    ParseError,
-    SearchCapExceeded,
-)
+from .errors import CapExceeded, EngineError, LatticeCapExceeded, ParseError
 from .ideals import Ideal, all_ideals, ideal_product
 from .rings import FiniteRing, make_product, make_zn
 from .theorems import (
@@ -396,8 +390,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("ring", help='ring expression, e.g. "Z12"')
     p.add_argument("ideal", nargs="?", default=None,
                    help='ideal literal, e.g. "(4)"')
-    p.add_argument("--json", action="store_true", default=True,
-                   help="emit JSON (the default)")
     p.add_argument("--recheck", action="store_true",
                    help="re-validate every reported witness; exit 1 on mismatch")
     p.add_argument("--cap", type=int, default=None, help="element cap override")
@@ -433,7 +425,7 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except (CapExceeded, LatticeCapExceeded, SearchCapExceeded) as err:
+    except (CapExceeded, LatticeCapExceeded) as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
     except (EngineError, ValueError, OSError) as err:

@@ -24,16 +24,18 @@ have been accepted at that point.
 from __future__ import annotations
 
 from . import expr as ex
-from .errors import ElementOutOfRange, ParseError
+from .errors import ParseError
 from .ideals import Ideal, ideal_gen
 from .rings import (
     FiniteRing,
+    element_literal,
     make_idealization,
     make_local_algebra,
     make_localization,
     make_product,
     make_quotient,
     make_zn,
+    resolve_literal,
 )
 
 
@@ -162,29 +164,6 @@ print_ideal_literal = ex.print_ideal_literal
 # elaboration
 
 
-def resolve_literal(ring: FiniteRing, lit: ex.Literal) -> int:
-    """Element index named by a literal; pairs follow the construction tree."""
-    if isinstance(lit, tuple):
-        e = ring.provenance
-        if isinstance(e, ex.Product):
-            a = resolve_literal(ring.left_factor, lit[0])
-            b = resolve_literal(ring.right_factor, lit[1])
-            return a * ring.right_factor.size + b
-        if isinstance(e, ex.Idealize):
-            a = resolve_literal(ring.base_ring, lit[0])
-            m = lit[1]
-            if not isinstance(m, int) or not 0 <= m < ring.module_size:
-                raise ElementOutOfRange(
-                    f"module component {m!r} outside 0..{ring.module_size - 1}")
-            return a * ring.module_size + m
-        raise ElementOutOfRange(
-            f"pair literal {ex.print_literal(lit)} for non-product ring {ring.text}")
-    if not isinstance(lit, int) or not 0 <= lit < ring.size:
-        raise ElementOutOfRange(
-            f"element {lit!r} outside 0..{ring.size - 1} in {ring.text}")
-    return lit
-
-
 def build_ring(e: ex.RingExpr, cap: int | None = None) -> FiniteRing:
     """Elaborate an expression into a verified ring."""
     if isinstance(e, ex.Zn):
@@ -221,6 +200,5 @@ def parse_ideal(text: str, ring: FiniteRing) -> Ideal:
 
 def ideal_text(p: Ideal) -> str:
     """Canonical literal form of an ideal's generators."""
-    from .rings import element_literal
     return ex.print_ideal_literal(
         tuple(element_literal(p.ring, g) for g in p.generators))

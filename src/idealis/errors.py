@@ -15,10 +15,6 @@ class LatticeCapExceeded(EngineError):
     """Ideal lattice enumeration would exceed the lattice cap."""
 
 
-class SearchCapExceeded(EngineError):
-    """Isomorphism search invoked on rings above the search cap."""
-
-
 class NotMultClosed(EngineError):
     """The given subset is not multiplicatively closed (or misses 1)."""
 

@@ -30,6 +30,9 @@ class Ideal:
         if generators is None:
             generators = reduced_generators(ring, self.elements)
         self.generators = tuple(int(g) for g in generators)
+        # filled by the classifiers: witness per verdict key, full report
+        self._scan_witnesses: dict[str, tuple | None] = {}
+        self._report = None
 
     @cached_property
     def arr(self) -> np.ndarray:
@@ -203,6 +206,17 @@ class IdealLattice:
                 out[i, j] = out[j, i] = self.index_of[p.elements]
         return out
 
+    @cached_property
+    def first_non_w1ap(self) -> Ideal | None:
+        """First proper ideal that is not weakly 1-absorbing prime, or
+        None when all of them are."""
+        # imported here because classify imports this module
+        from .classify import is_weakly_one_absorbing_prime
+        for p in self.proper:
+            if not is_weakly_one_absorbing_prime(p).holds:
+                return p
+        return None
+
     def index(self, ideal: Ideal) -> int:
         return self.index_of[ideal.elements]
 
@@ -210,9 +224,8 @@ class IdealLattice:
 def all_ideals(ring: FiniteRing, cap: int = LATTICE_CAP) -> IdealLattice:
     """Every ideal, by closing the principal ideals under pairwise sum.
     Cached on the ring."""
-    cached = getattr(ring, "_lattice", None)
-    if cached is not None:
-        return cached
+    if ring._lattice is not None:
+        return ring._lattice
     by_key: dict[tuple[int, ...], np.ndarray] = {}
     worklist: list[np.ndarray] = []
     for a in range(ring.size):

@@ -31,26 +31,25 @@ ring in every run.
 from __future__ import annotations
 
 import os
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
 from . import expr as ex
 from .errors import (
     CapExceeded,
+    ElementOutOfRange,
     ImproperIdeal,
     NotMultClosed,
     NotPrime,
     RingMismatch,
-    SearchCapExceeded,
     ZeroInS,
 )
 
 if TYPE_CHECKING:
-    from .ideals import Ideal
+    from .ideals import Ideal, IdealLattice
 
 DEFAULT_ELEMENT_CAP = 1024
-ISO_SEARCH_CAP = 64
 _LITERAL_SCAN_MAX = 64
 
 
@@ -72,10 +71,16 @@ class FiniteRing:
         unit_mask: boolean array marking units.
         nonunits: sorted int array of nonunit indices (zero included).
         provenance: the construction expression.
+        factors: (left, right) for a direct product, else None; element
+            (a, b) is stored at index a*right.size + b.
+        idealization: (base, j) for the trivial extension base (+) base/j,
+            else None; element (a, m) is stored at index a*module_size + m.
     """
 
     def __init__(self, add, mul, zero: int, one: int,
-                 provenance: ex.RingExpr, cap: int | None = None):
+                 provenance: ex.RingExpr, cap: int | None = None, *,
+                 factors: tuple[FiniteRing, FiniteRing] | None = None,
+                 idealization: tuple[FiniteRing, Ideal] | None = None):
         add = np.ascontiguousarray(add, dtype=np.int32)
         mul = np.ascontiguousarray(mul, dtype=np.int32)
         if add.ndim != 2 or add.shape[0] != add.shape[1]:
@@ -102,6 +107,9 @@ class FiniteRing:
         self.zero = int(zero)
         self.one = int(one)
         self.provenance = provenance
+        self.factors = factors
+        self.idealization = idealization
+        self._lattice: IdealLattice | None = None    # filled by all_ideals
 
         _verify_ring(self)
 
@@ -125,6 +133,12 @@ class FiniteRing:
     @property
     def text(self) -> str:
         return ex.print_expr(self.provenance)
+
+    @property
+    def module_size(self) -> int:
+        """|M| for an idealization: M = base/j is cyclic, so |M| = |base|/|j|."""
+        base, j = self.idealization
+        return base.size // len(j)
 
     def is_unit(self, a: int) -> bool:
         return bool(self.unit_mask[a])
@@ -298,10 +312,7 @@ def make_product(r1: FiniteRing, r2: FiniteRing, cap: int | None = None) -> Fini
     zero = r1.zero * s2 + r2.zero
     one = r1.one * s2 + r2.one
     prov = ex.Product(r1.provenance, r2.provenance)
-    ring = FiniteRing(add, mul, zero, one, prov, cap=cap)
-    ring.left_factor = r1
-    ring.right_factor = r2
-    return ring
+    return FiniteRing(add, mul, zero, one, prov, cap=cap, factors=(r1, r2))
 
 
 def make_quotient(r: FiniteRing, q: "Ideal",
@@ -451,15 +462,11 @@ def make_idealization(r: FiniteRing, j: "Ideal", cap: int | None = None) -> Fini
     one = r.one * k + m_zero
     lits = tuple(element_literal(r, g) for g in j.generators)
     prov = ex.Idealize(r.provenance, lits)
-    ring = FiniteRing(add, mul, zero, one, prov, cap=cap)
+    ring = FiniteRing(add, mul, zero, one, prov, cap=cap, idealization=(r, j))
 
     expected_units = r.unit_mask[np.arange(n) // k]
     if not np.array_equal(ring.unit_mask, expected_units):
         raise ValueError("idealization units differ from {(a, m) : a unit}")
-    ring.module_size = k
-    ring.module_action = act
-    ring.module_zero = m_zero
-    ring.base_ring = r
     return ring
 
 
@@ -487,149 +494,56 @@ def make_local_algebra(p: int, cap: int | None = None) -> FiniteRing:
 
 
 # ---------------------------------------------------------------------------
-# element literals: the pairing structure mirrors the construction tree
+# element literals: pairs follow the ring's declared parts
 
 
 def element_literal(r: FiniteRing, index: int) -> ex.Literal:
-    """Literal form of an element index, following the provenance tree."""
-    e = r.provenance
-    if isinstance(e, ex.Product):
-        right_size = _expr_size(e.right)
-        a, b = divmod(int(index), right_size)
-        return (_sub_literal(e.left, a), _sub_literal(e.right, b))
-    if isinstance(e, ex.Idealize):
-        k = r.module_size
-        a, m = divmod(int(index), k)
-        return (_sub_literal(e.ring, a), m)
-    return int(index)
+    """Literal form of an element index: a pair for a product or an
+    idealization, recursing into the parts, else the plain index."""
+    index = int(index)
+    if r.factors is not None:
+        left, right = r.factors
+        a, b = divmod(index, right.size)
+        return (element_literal(left, a), element_literal(right, b))
+    if r.idealization is not None:
+        base, _ = r.idealization
+        a, m = divmod(index, r.module_size)
+        return (element_literal(base, a), m)
+    return index
 
 
-def _expr_size(e: ex.RingExpr) -> int:
-    if isinstance(e, ex.Zn):
-        return e.n
-    if isinstance(e, ex.LocalAlg):
-        return e.p ** 3
-    if isinstance(e, ex.Product):
-        return _expr_size(e.left) * _expr_size(e.right)
-    # quotient / localization / idealization sizes are not derivable from
-    # the expression alone; callers that need them hold the built ring
-    raise ValueError(f"size of {e!r} is not syntactically determined")
+def resolve_literal(r: FiniteRing, lit: ex.Literal) -> int:
+    """Element index named by a literal, the inverse of element_literal.
+    A plain index is accepted for every ring."""
+    if isinstance(lit, tuple):
+        if r.factors is not None:
+            left, right = r.factors
+            a, b = resolve_literal(left, lit[0]), resolve_literal(right, lit[1])
+            return a * right.size + b
+        if r.idealization is not None:
+            base, _ = r.idealization
+            k, m = r.module_size, lit[1]
+            if not isinstance(m, int) or not 0 <= m < k:
+                raise ElementOutOfRange(f"module component {m!r} outside 0..{k - 1}")
+            return resolve_literal(base, lit[0]) * k + m
+        raise ElementOutOfRange(
+            f"pair literal {ex.print_literal(lit)} for non-product ring {r.text}")
+    if not isinstance(lit, int) or not 0 <= lit < r.size:
+        raise ElementOutOfRange(
+            f"element {lit!r} outside 0..{r.size - 1} in {r.text}")
+    return lit
 
 
-def _sub_literal(e: ex.RingExpr, index: int) -> ex.Literal:
-    if isinstance(e, ex.Product):
-        right_size = _expr_size(e.right)
-        a, b = divmod(int(index), right_size)
-        return (_sub_literal(e.left, a), _sub_literal(e.right, b))
-    return int(index)
+def zn_isomorphism(r: FiniteRing) -> Homomorphism | None:
+    """The isomorphism Z_n -> r with n = |r|, or None when r is not Z_n.
 
-
-def additive_order(r: FiniteRing, a: int) -> int:
-    k, cur = 1, int(a)
-    while cur != r.zero:
-        cur = int(r.add[cur, a])
-        k += 1
-    return k
-
-
-# ---------------------------------------------------------------------------
-# isomorphism search
-
-
-def _ring_closure(r: FiniteRing, seed: set[int]) -> set[int]:
-    span = set(seed)
-    frontier = list(span)
-    while frontier:
-        fresh: set[int] = set()
-        cur = np.asarray(sorted(span), dtype=np.intp)
-        new = np.asarray(sorted(set(frontier)), dtype=np.intp)
-        for table in (r.add, r.mul):
-            fresh.update(int(v) for v in table[np.ix_(cur, new)].ravel())
-        fresh -= span
-        span |= fresh
-        frontier = list(fresh)
-    return span
-
-
-def _ring_generators(r: FiniteRing) -> list[int]:
-    span = _ring_closure(r, {r.zero, r.one})
-    gens: list[int] = []
-    while len(span) < r.size:
-        g = min(set(range(r.size)) - span)
-        gens.append(g)
-        span = _ring_closure(r, span | {g})
-    return gens
-
-
-def find_isomorphism(r1: FiniteRing, r2: FiniteRing) -> Homomorphism | None:
-    """Deterministic unital ring isomorphism search, or None.
-
-    Generators of r1 are chosen greedily (least element not yet
-    generated); candidate images are tried in ascending order, so the
-    first isomorphism found is lexicographically least with respect to
-    the generator-image sequence.
+    A unital map from Z_n must send k to k*1, so this is the only
+    candidate. It is a homomorphism because the additive order of 1
+    divides n, and it is bijective exactly when 1 has additive order n.
     """
-    if max(r1.size, r2.size) > ISO_SEARCH_CAP:
-        raise SearchCapExceeded(
-            f"isomorphism search capped at {ISO_SEARCH_CAP} elements")
-    if r1.size != r2.size or len(r1.units) != len(r2.units):
-        return None
-    ord1 = [additive_order(r1, a) for a in range(r1.size)]
-    ord2 = [additive_order(r2, a) for a in range(r2.size)]
-    if sorted(ord1) != sorted(ord2):
-        return None
-
-    gens = _ring_generators(r1)
-    base = np.full(r1.size, -1, dtype=np.int32)
-
-    def close(mapping: np.ndarray, queue: list[int]) -> bool:
-        # propagate f over sums and products of already mapped elements
-        while queue:
-            a = queue.pop()
-            known = np.flatnonzero(mapping >= 0)
-            for t1, t2 in ((r1.add, r2.add), (r1.mul, r2.mul)):
-                src = t1[a, known]
-                dst = t2[mapping[a], mapping[known]]
-                for s_el, d_el in zip(src.tolist(), dst.tolist()):
-                    cur = mapping[s_el]
-                    if cur < 0:
-                        mapping[s_el] = d_el
-                        queue.append(s_el)
-                    elif cur != d_el:
-                        return False
-        return True
-
-    mapping = base.copy()
-    mapping[r1.zero] = r2.zero
-    mapping[r1.one] = r2.one
-    if not close(mapping, [r1.zero, r1.one]):
-        return None
-
-    def candidates(g: int, mapping: np.ndarray) -> list[int]:
-        used = set(mapping[mapping >= 0].tolist())
-        want_unit = bool(r1.unit_mask[g])
-        return [h for h in range(r2.size)
-                if h not in used
-                and ord2[h] == ord1[g]
-                and bool(r2.unit_mask[h]) == want_unit]
-
-    def extend(mapping: np.ndarray, todo: list[int]) -> np.ndarray | None:
-        todo = [g for g in todo if mapping[g] < 0]
-        if not todo:
-            return mapping if (mapping >= 0).all() else None
-        g, rest = todo[0], todo[1:]
-        for h in candidates(g, mapping):
-            trial = mapping.copy()
-            trial[g] = h
-            if close(trial, [g]):
-                out = extend(trial, rest)
-                if out is not None:
-                    return out
-        return None
-
-    final = extend(mapping, gens)
-    if final is None:
-        return None
-    if len(set(final.tolist())) != r1.size:
-        return None
-    return Homomorphism(r1, r2, final)
+    f = np.empty(r.size, dtype=np.int32)
+    f[0] = r.zero
+    for k in range(1, r.size):
+        f[k] = r.add[f[k - 1], r.one]
+    hom = Homomorphism(make_zn(r.size, cap=r.size), r, f)
+    return hom if hom.is_injective else None

@@ -5,43 +5,50 @@ prints one PASS/FAIL line per criterion. Runtime budgets are asserted
 with a wall clock inside the criterion that pins them.
 """
 
-import json
 import random
 import subprocess
 import sys
 import time
 
-import numpy as np
-
 from idealis import (
+    CapExceeded,
+    ElementOutOfRange,
+    ImproperIdeal,
+    NotMultClosed,
+    NotPrime,
     ParseError,
+    ZeroInS,
     all_ideals,
     build_corpus,
+    build_ring,
     build_ring_text,
     colon,
-    find_isomorphism,
     find_one_triple_zeros,
     ideal_gen,
     ideal_product,
+    ideal_text,
     is_one_absorbing_prime,
     is_prime,
     is_quasi_local,
     is_weakly_one_absorbing_prime,
     is_weakly_prime,
     is_weakly_two_absorbing,
-    jacobson_radical,
     make_local_algebra,
     make_localization,
     make_product,
     make_zn,
     maximal_ideals,
+    parse_ideal,
     parse_ring,
     print_expr,
+    resolve_literal,
     zero_ideal,
     zn_classification,
+    zn_isomorphism,
 )
 from idealis.classify import IMPLICATIONS, classify, witness_violates
 from idealis.expr import Idealize, LocalAlg, Localize, Product, Quotient, Zn
+from idealis.rings import element_literal
 from idealis.theorems import (
     CHECKS,
     all_proper_w1ap,
@@ -190,7 +197,7 @@ def test_criterion_06_product_and_local_shapes():
 
 def test_criterion_07_localization_oracle(default_checks):
     loc, _ = make_localization(make_zn(12), {1, 3, 9})
-    assert find_isomorphism(loc, make_zn(4)) is not None
+    assert loc.size == 4 and zn_isomorphism(loc) is not None
     c = _by_id(default_checks)["localization_transfer"]
     assert c.outcome == "pass" and c.tested >= 1
     print(f"criterion 7 PASS: Loc(Z12, 1, 3, 9) is Z4; "
@@ -213,42 +220,68 @@ def test_criterion_08_idealization_equivalence():
           f"{len(rings)} trivial extensions in {elapsed:.2f}s")
 
 
-def _fuzz_expr(rng, depth):
+def _fuzz_expr(rng, depth, max_n=300, max_lit=40):
     kinds = ["zn", "zn", "local"]
     if depth > 0:
         kinds += ["product", "quotient", "localize", "idealize"]
     kind = rng.choice(kinds)
+    sub = (depth - 1, max_n, max_lit)
     if kind == "zn":
-        return Zn(rng.randint(2, 300))
+        return Zn(rng.randint(2, max_n))
     if kind == "local":
         return LocalAlg(rng.choice((2, 3, 5, 7)))
     if kind == "product":
-        return Product(_fuzz_expr(rng, depth - 1), _fuzz_expr(rng, depth - 1))
+        return Product(_fuzz_expr(rng, *sub), _fuzz_expr(rng, *sub))
     if kind == "quotient":
-        return Quotient(_fuzz_expr(rng, depth - 1), _fuzz_literals(rng))
+        return Quotient(_fuzz_expr(rng, *sub), _fuzz_literals(rng, max_lit))
     if kind == "localize":
-        elems = tuple(_fuzz_literal(rng, 1)
+        elems = tuple(_fuzz_literal(rng, 1, max_lit)
                       for _ in range(rng.randint(1, 3)))
-        return Localize(_fuzz_expr(rng, depth - 1), elems)
-    return Idealize(_fuzz_expr(rng, depth - 1), _fuzz_literals(rng))
+        return Localize(_fuzz_expr(rng, *sub), elems)
+    return Idealize(_fuzz_expr(rng, *sub), _fuzz_literals(rng, max_lit))
 
 
-def _fuzz_literal(rng, depth):
+def _fuzz_literal(rng, depth, max_lit=40):
     if depth > 0 and rng.random() < 0.3:
-        return (_fuzz_literal(rng, depth - 1), _fuzz_literal(rng, depth - 1))
-    return rng.randint(0, 40)
+        return (_fuzz_literal(rng, depth - 1, max_lit),
+                _fuzz_literal(rng, depth - 1, max_lit))
+    return rng.randint(0, max_lit)
 
 
-def _fuzz_literals(rng):
-    return tuple(_fuzz_literal(rng, 2) for _ in range(rng.randint(0, 3)))
+def _fuzz_literals(rng, max_lit=40):
+    return tuple(_fuzz_literal(rng, 2, max_lit) for _ in range(rng.randint(0, 3)))
+
+
+# the documented domain errors of a well-formed expression; anything
+# else escaping a build is a bug
+FUZZ_BUILD_ERRORS = (CapExceeded, NotMultClosed, ZeroInS, ElementOutOfRange,
+                     ImproperIdeal, NotPrime)
+FUZZ_CAP = 64
+
+
+def _check_literal_round_trips(ring, text):
+    # the built ring prints its canonical form: sorted S, reduced generators
+    assert parse_ring(ring.text) == ring.provenance, text
+    for a in range(ring.size):
+        assert resolve_literal(ring, element_literal(ring, a)) == a, (text, a)
+    for p in all_ideals(ring):
+        assert parse_ideal(ideal_text(p), ring) == p, (text, ideal_text(p))
 
 
 def test_criterion_09_dsl_round_trip():
     rng = random.Random(20260816)
+    built = 0
     for i in range(1000):
         e = _fuzz_expr(rng, 4)
         text = print_expr(e)
         assert parse_ring(text) == e, f"AST {i}: {text}"
+        try:
+            ring = build_ring(e, cap=FUZZ_CAP)
+        except FUZZ_BUILD_ERRORS:
+            continue
+        built += 1
+        _check_literal_round_trips(ring, text)
+    assert built >= 100, f"only {built} fuzzed rings built"
 
     # malformed inputs: seeded mutations of valid texts must either
     # parse or raise a positioned ParseError, never anything else
@@ -272,7 +305,23 @@ def test_criterion_09_dsl_round_trip():
         except Exception:
             crashes += 1
     assert crashes == 0
-    print("criterion 9 PASS: 1000 round trips, 500 mutations, no crashes")
+
+    # small factors and literals, so that products of quotients,
+    # localizations and idealizations fit under the cap and get built
+    small = random.Random(20261017)
+    built_small = 0
+    for i in range(500):
+        e = _fuzz_expr(small, 2, max_n=4, max_lit=3)
+        try:
+            ring = build_ring(e, cap=FUZZ_CAP)
+        except FUZZ_BUILD_ERRORS:
+            continue
+        built_small += 1
+        _check_literal_round_trips(ring, print_expr(e))
+    assert built_small >= 100, f"only {built_small} small fuzzed rings built"
+    print(f"criterion 9 PASS: 1000 round trips, 500 mutations, no crashes; "
+          f"{built + built_small} fuzzed rings built with literals and "
+          "ideals re-parsed")
 
 
 def test_criterion_10_default_verify():

@@ -52,6 +52,25 @@ def test_classify_output_is_byte_stable(capsys):
     assert json.dumps(json.loads(out1), sort_keys=True, indent=2) + "\n" == out1
 
 
+def _ideal_tables(doc):
+    return [{k: e[k] for k in ("elements", "verdicts", "witnesses")}
+            for e in doc["ideals"]]
+
+
+@pytest.mark.parametrize("derived, plain", [
+    ("Z2 x Z720/(120)", "Z2 x Z120"),
+    ("Z2 x Z4/(2)", "Z2 x Z2"),
+])
+def test_classify_product_with_quotient_factor(capsys, derived, plain):
+    # the quotient's cosets are labelled by least members 0..m-1 with
+    # arithmetic mod m, so both rings have identical tables
+    rc, out, err = run(capsys, "classify", derived)
+    assert rc == 0, err
+    rc, ref, _ = run(capsys, "classify", plain)
+    assert rc == 0
+    assert _ideal_tables(json.loads(out)) == _ideal_tables(json.loads(ref))
+
+
 def test_classify_golden_z30(capsys):
     rc, out, _ = run(capsys, "classify", "Z30", "(6)")
     doc = json.loads(out)

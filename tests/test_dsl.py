@@ -12,7 +12,6 @@ from idealis import (
     ParseError,
     build_ring,
     build_ring_text,
-    find_isomorphism,
     ideal_gen,
     ideal_text,
     make_zn,
@@ -21,6 +20,7 @@ from idealis import (
     parse_ring,
     print_expr,
     resolve_literal,
+    zn_isomorphism,
 )
 from idealis.expr import Idealize, LocalAlg, Localize, Product, Quotient, Zn
 
@@ -140,7 +140,8 @@ def test_resolve_literal():
 
 def test_build_golden_rings():
     assert build_ring_text("Z6").size == 6
-    assert find_isomorphism(build_ring_text("Z2 x Z3"), make_zn(6)) is not None
+    assert zn_isomorphism(build_ring_text("Z2 x Z3")) is not None
+    assert zn_isomorphism(build_ring_text("Z2 x Z2")) is None
     assert build_ring_text("Loc(Z12, 1, 3, 9)").size == 4
     assert build_ring_text("Z12/(4)").size == 4
     assert build_ring_text("Idealize(Z4, (2))").size == 8
