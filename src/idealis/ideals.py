@@ -21,18 +21,30 @@ LATTICE_CAP = 100000
 
 
 class Ideal:
+    """An ideal, validated on construction.
+
+    `given_generators` holds the generators a caller passed, or None.
+    `generators` is lazy: without given generators it is
+    `reduced_generators` of the elements, computed only when something
+    renders or reads it.
+    """
+
     def __init__(self, ring: FiniteRing, elements: Sequence[int],
-                 generators: Sequence[int] | None = None, _validate: bool = True):
+                 generators: Sequence[int] | None = None):
         self.ring = ring
         self.elements = tuple(sorted({int(a) for a in elements}))
-        if _validate:
-            _check_ideal(ring, self.elements)
-        if generators is None:
-            generators = reduced_generators(ring, self.elements)
-        self.generators = tuple(int(g) for g in generators)
+        _check_ideal(ring, self.elements)
+        self.given_generators = (None if generators is None
+                                 else tuple(int(g) for g in generators))
         # filled by the classifiers: witness per verdict key, full report
         self._scan_witnesses: dict[str, tuple | None] = {}
         self._report = None
+
+    @cached_property
+    def generators(self) -> tuple[int, ...]:
+        if self.given_generators is not None:
+            return self.given_generators
+        return reduced_generators(self.ring, self.elements)
 
     @cached_property
     def arr(self) -> np.ndarray:
@@ -144,12 +156,16 @@ class IdealLattice:
     """All ideals of a ring, sorted by (size, elements).
 
     The zero ideal is index 0 and the whole ring is the last index, so
-    proper ideals are exactly the prefix [:-1].
+    proper ideals are exactly the prefix [:-1]. `spanning[i]` is a short
+    generating set of ideal i, recorded by the enumeration; it need not
+    be the presentation `ideals[i].generators`.
     """
 
-    def __init__(self, ring: FiniteRing, ideals: list[Ideal]):
+    def __init__(self, ring: FiniteRing, ideals: list[Ideal],
+                 spanning: list[tuple[int, ...]]):
         self.ring = ring
         self.ideals = ideals
+        self.spanning = spanning
         self.index_of = {i.elements: k for k, i in enumerate(ideals)}
 
     def __len__(self) -> int:
@@ -166,44 +182,53 @@ class IdealLattice:
         return self.ideals[:-1]
 
     @cached_property
+    def masks(self) -> np.ndarray:
+        """masks[i] is the membership mask of ideal i."""
+        return np.stack([i.mask for i in self.ideals])
+
+    @cached_property
     def le(self) -> np.ndarray:
-        """Containment matrix: le[i, j] iff ideal i is a subset of ideal j."""
-        masks = np.stack([i.mask for i in self.ideals])
-        return (masks[:, None, :] <= masks[None, :, :]).all(axis=2)
+        """Containment matrix: le[i, j] iff ideal i is a subset of ideal j,
+        that is, iff no element of ideal i lies outside ideal j."""
+        m = self.masks.astype(np.float32)
+        return m @ (1 - m).T == 0
 
     @cached_property
     def covers(self) -> list[tuple[int, int]]:
-        """Covering pairs (i, j): i < j with nothing strictly between."""
-        k = len(self.ideals)
-        le = self.le
-        strict = le & ~np.eye(k, dtype=bool)
-        out = []
-        for i in range(k):
-            for j in np.flatnonzero(strict[i]):
-                if not (strict[i] & strict[:, j]).any():
-                    out.append((i, int(j)))
-        return out
+        """Covering pairs (i, j): i < j with nothing strictly between,
+        in row-major order."""
+        strict = self.le & ~np.eye(len(self.ideals), dtype=bool)
+        s = strict.astype(np.float32)
+        return [(int(i), int(j)) for i, j in np.argwhere(strict & (s @ s == 0))]
 
     @cached_property
     def maximal_indices(self) -> list[int]:
-        k = len(self.ideals)
-        le = self.le
-        out = []
-        for i in range(k - 1):
-            above = np.flatnonzero(le[i])
-            if len(above) == 2:        # itself and the whole ring
-                out.append(i)
-        return out
+        """Proper ideals contained only in themselves and the whole ring."""
+        return np.flatnonzero(self.le[:-1].sum(axis=1) == 2).tolist()
 
     @cached_property
     def product_table(self) -> np.ndarray:
-        """product_table[i, j] = lattice index of ideal_i * ideal_j."""
+        """product_table[i, j] = lattice index of ideal_i * ideal_j.
+
+        IJ is contained in Q iff J is contained in (Q : I), and IJ, a
+        subset of I, comes no later than I in the size order. So the
+        product is the first Q <= i with J inside (Q : I), found for
+        every j >= i at once. (Q : I) is the intersection of (Q : g)
+        over the generators g in `spanning[i]`.
+        """
         k = len(self.ideals)
+        masks = self.masks
+        mul = self.ring.mul
+        members = masks.astype(np.float32)
         out = np.zeros((k, k), dtype=np.int32)
-        for i in range(k):
-            for j in range(i, k):
-                p = ideal_product(self.ideals[i], self.ideals[j])
-                out[i, j] = out[j, i] = self.index_of[p.elements]
+        for i, gens in enumerate(self.spanning):
+            quot = np.ones((i + 1, self.ring.size), dtype=bool)
+            for g in gens:
+                quot &= masks[:i + 1, mul[:, g]]
+            misses = members[i:] @ (~quot).astype(np.float32).T
+            first = (misses == 0).argmax(axis=1)
+            out[i, i:] = first
+            out[i:, i] = first
         return out
 
     @cached_property
@@ -222,32 +247,45 @@ class IdealLattice:
 
 
 def all_ideals(ring: FiniteRing, cap: int = LATTICE_CAP) -> IdealLattice:
-    """Every ideal, by closing the principal ideals under pairwise sum.
-    Cached on the ring."""
+    """Every ideal, cached on the ring.
+
+    The principal ideal (a) = {r*a} of every element is built as a
+    boolean mask, deduplicated by its bytes. Every ideal is a finite sum
+    of principal ideals, and each (a) is additively closed, so closing
+    that set under "+ (a)" alone, skipping every (a) an ideal already
+    contains, finds them all. Each result is validated as an Ideal, so
+    a corrupted table that breaks closure raises ValueError. The cap is
+    checked as each ideal that is not principal is found.
+    """
     if ring._lattice is not None:
         return ring._lattice
-    by_key: dict[tuple[int, ...], np.ndarray] = {}
-    worklist: list[np.ndarray] = []
-    for a in range(ring.size):
-        els = np.unique(ring.mul[:, a])
-        key = tuple(els.tolist())
-        if key not in by_key:
-            by_key[key] = els
-            worklist.append(els)
+    n = ring.size
+    principal = np.zeros((n, n), dtype=bool)
+    principal[np.arange(n)[:, None], ring.mul.T] = True
+    found: dict[bytes, tuple[np.ndarray, tuple[int, ...]]] = {}
+    for a in range(n):
+        found.setdefault(principal[a].tobytes(), (principal[a], (a,)))
+    pmasks = np.stack([m for m, _ in found.values()])
+    parrs = [np.flatnonzero(m) for m in pmasks]
+    pgens = [g for _, (g,) in found.values()]
+    worklist = list(found.values())
     while worklist:
-        cur = worklist.pop()
-        for other in list(by_key.values()):
-            s = np.unique(ring.add[np.ix_(cur, other)])
-            key = tuple(s.tolist())
-            if key not in by_key:
-                if len(by_key) >= cap:
+        mask, gens = worklist.pop()
+        rows = ring.add[mask]
+        for b in np.flatnonzero(pmasks[:, ~mask].any(axis=1)):
+            s = np.zeros(n, dtype=bool)
+            s[rows[:, parrs[b]]] = True
+            key = s.tobytes()
+            if key not in found:
+                if len(found) >= cap:
                     raise LatticeCapExceeded(
                         f"more than {cap} ideals in {ring.text}")
-                by_key[key] = s
-                worklist.append(s)
-    sorted_sets = sorted(by_key.values(), key=lambda e: (len(e), tuple(e.tolist())))
-    ideals = [Ideal(ring, e.tolist()) for e in sorted_sets]
-    lattice = IdealLattice(ring, ideals)
+                found[key] = (s, gens + (pgens[b],))
+                worklist.append(found[key])
+    entries = sorted(found.values(),
+                     key=lambda e: (int(e[0].sum()), (~e[0]).tobytes()))
+    ideals = [Ideal(ring, np.flatnonzero(m).tolist()) for m, _ in entries]
+    lattice = IdealLattice(ring, ideals, [g for _, g in entries])
     ring._lattice = lattice
     return lattice
 

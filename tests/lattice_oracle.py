@@ -1,0 +1,66 @@
+"""Brute-force reference for the ideal lattice, kept for differential tests.
+
+Each function follows the definition as directly as it can: the lattice
+closes the principal ideals under pairwise sums with np.unique,
+containment compares every pair of masks elementwise, covers test every
+pair for an ideal strictly between, and products are computed pairwise
+with ideal_product. IdealLattice must agree with all of it.
+"""
+
+from typing import NamedTuple
+
+import numpy as np
+
+from idealis import FiniteRing, ideal_gen, ideal_product, reduced_generators
+
+
+class OracleLattice(NamedTuple):
+    elements: list[tuple[int, ...]]
+    generators: list[tuple[int, ...]]
+    le: np.ndarray
+    covers: list[tuple[int, int]]
+    maximal_indices: list[int]
+    product_table: np.ndarray
+
+
+def oracle_elements(ring: FiniteRing) -> list[tuple[int, ...]]:
+    """Every ideal's element tuple, sorted by (size, elements)."""
+    by_key: dict[tuple[int, ...], np.ndarray] = {}
+    worklist: list[np.ndarray] = []
+    for a in range(ring.size):
+        els = np.unique(ring.mul[:, a])
+        key = tuple(els.tolist())
+        if key not in by_key:
+            by_key[key] = els
+            worklist.append(els)
+    while worklist:
+        cur = worklist.pop()
+        for other in list(by_key.values()):
+            s = np.unique(ring.add[np.ix_(cur, other)])
+            key = tuple(s.tolist())
+            if key not in by_key:
+                by_key[key] = s
+                worklist.append(s)
+    return sorted(by_key, key=lambda e: (len(e), e))
+
+
+def oracle_lattice(ring: FiniteRing) -> OracleLattice:
+    elements = oracle_elements(ring)
+    k = len(elements)
+    masks = np.zeros((k, ring.size), dtype=bool)
+    for i, els in enumerate(elements):
+        masks[i, list(els)] = True
+    le = (masks[:, None, :] <= masks[None, :, :]).all(axis=2)
+    strict = le & ~np.eye(k, dtype=bool)
+    covers = [(i, int(j)) for i in range(k) for j in np.flatnonzero(strict[i])
+              if not (strict[i] & strict[:, j]).any()]
+    maximal = [i for i in range(k - 1) if len(np.flatnonzero(le[i])) == 2]
+    ideals = [ideal_gen(ring, els) for els in elements]
+    index_of = {els: i for i, els in enumerate(elements)}
+    table = np.zeros((k, k), dtype=np.int32)
+    for i in range(k):
+        for j in range(i, k):
+            p = ideal_product(ideals[i], ideals[j])
+            table[i, j] = table[j, i] = index_of[p.elements]
+    generators = [reduced_generators(ring, els) for els in elements]
+    return OracleLattice(elements, generators, le, covers, maximal, table)

@@ -5,7 +5,6 @@ Witnesses are pinned to the lexicographically least violating tuple, so
 the expected values below were derived by hand from the definitions.
 """
 
-import numpy as np
 import pytest
 
 from idealis import (

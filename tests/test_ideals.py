@@ -5,7 +5,6 @@ exactly the (d) for divisors d of n, so lattice size equals the divisor
 count and containment mirrors divisibility.
 """
 
-import numpy as np
 import pytest
 
 from idealis import (

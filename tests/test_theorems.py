@@ -16,9 +16,7 @@ from idealis import (
     build_corpus,
     corpus_hash,
     default_corpus_exprs,
-    ideal_gen,
     make_local_algebra,
-    make_product,
     make_zn,
     run_checks,
     zn_classification,
@@ -251,6 +249,16 @@ def test_corrupt_table_cannot_reach_the_harness():
     mul = np.array(r.mul)
     mul[2, 2] = 1
     r.mul = mul
+    with pytest.raises(ValueError):
+        all_ideals(r)
+
+
+def test_corrupt_add_table_cannot_reach_the_harness():
+    # 3 + 3 = 7 breaks additive closure of (3) = {0, 3, 6}
+    r = make_zn(9)
+    add = np.array(r.add)
+    add[3, 3] = 7
+    r.add = add
     with pytest.raises(ValueError):
         all_ideals(r)
 
