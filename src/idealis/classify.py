@@ -11,15 +11,20 @@ For a proper ideal P of a finite commutative ring A:
 - weakly 1-absorbing prime: same with the extra hypothesis x*y*z != 0
 
 Every predicate returns its verdict together with the lexicographically
-least violating tuple when the verdict is False. Scans walk x in
-ascending order and vectorize the (y, z) plane, so the first violation
-found row-major is the least one. Zero counts as a nonunit. Skipping
-pairs with x*y in P inside the 1-absorbing scans is not a shortcut:
-such triples satisfy the disjunction by definition.
+least violating tuple when the verdict is False. Zero counts as a
+nonunit.
 
-Each strict/weak pair shares one fused scan; a weak violation is in
-particular a strict violation, so the strict witness is always found at
-or before the weak one and one pass resolves both.
+Each strict/weak pair is one family, and each family yields its
+candidates as planes in lex order: prime is the single (x, y) plane,
+2-absorbing has one (y, z) plane per x, and 1-absorbing one plane per
+nonunit x, over nonunits y with x*y outside P and nonunits z outside
+P. Leaving out pairs with x*y in P is not a shortcut: such triples
+satisfy the disjunction by definition. One search, _least_violations,
+reads every family's planes row-major, so its first hit is the least
+violation. A weak violation is in particular a strict one, so the
+strict witness is found at or before the weak one and one pass
+resolves both. The 1-triple zeros of a weakly 1-absorbing prime ideal
+are collected from the same 1-absorbing planes.
 """
 
 from __future__ import annotations
@@ -69,40 +74,68 @@ def _require_proper(p: Ideal) -> None:
         raise ImproperIdeal(f"classification needs a proper ideal of {p.ring.text}")
 
 
-def _scan_prime(ring: FiniteRing, mask: np.ndarray):
-    viol = mask[ring.mul] & ~mask[:, None] & ~mask[None, :]
+def _least_violations(planes, zero: int, weak_possible: bool = True):
+    """Lex-least strict and weak violation over planes in lex order.
+
+    A plane is (head, ys, zs, viol, prods): the coordinates it shares,
+    the candidates along its two axes, its violation mask, and the
+    products that make a violation weak when nonzero. With
+    `weak_possible` False the search stops at the strict witness.
+    """
     strict = None
-    if viol.any():
-        x, y = np.argwhere(viol)[0]
-        strict = (int(x), int(y))
-    wv = viol & (ring.mul != ring.zero)
-    weak = None
-    if wv.any():
-        x, y = np.argwhere(wv)[0]
-        weak = (int(x), int(y))
-    return strict, weak
+    for head, ys, zs, viol, prods in planes:
+        if not viol.any():
+            continue
+        if strict is None:
+            i, j = np.argwhere(viol)[0]
+            strict = head + (int(ys[i]), int(zs[j]))
+            if not weak_possible:
+                break
+        wv = viol & (prods != zero)
+        if wv.any():
+            i, j = np.argwhere(wv)[0]
+            return strict, head + (int(ys[i]), int(zs[j]))
+    return strict, None
 
 
-def _scan_two_absorbing(ring: FiniteRing, mask: np.ndarray):
-    mul, zero = ring.mul, ring.zero
+def _prime_planes(ring: FiniteRing, mask: np.ndarray):
+    every = np.arange(ring.size)
+    viol = mask[ring.mul] & ~mask[:, None] & ~mask[None, :]
+    yield (), every, every, viol, ring.mul
+
+
+def _two_absorbing_planes(ring: FiniteRing, mask: np.ndarray):
+    mul = ring.mul
+    every = np.arange(ring.size)
     yz_in = mask[mul]
-    strict = weak = None
     for x in range(ring.size):
         xrow = mul[x]
         x_in = mask[xrow]              # x*y in P, and x*z in P via the same row
         plane = mul[xrow]              # [y, z] = x*y*z
         viol = mask[plane] & ~x_in[:, None] & ~x_in[None, :] & ~yz_in
-        if not viol.any():
-            continue
-        if strict is None:
-            y, z = np.argwhere(viol)[0]
-            strict = (x, int(y), int(z))
-        wv = viol & (plane != zero)
-        if wv.any():
-            y, z = np.argwhere(wv)[0]
-            weak = (x, int(y), int(z))
-            break
-    return strict, weak
+        yield (x,), every, every, viol, plane
+
+
+def _one_absorbing_planes(ring: FiniteRing, mask: np.ndarray):
+    """One plane per nonunit x, over nonunits y with x*y outside P and
+    nonunits z outside P; pairs with x*y in P satisfy the conclusion."""
+    mul = ring.mul
+    nu = ring.nonunits
+    zs = nu[~mask[nu]]
+    for x in nu.tolist():
+        xy = mul[x, nu]
+        keep = ~mask[xy]
+        if keep.any():
+            plane = mul[np.ix_(xy[keep], zs)]
+            yield (x,), nu[keep], zs, mask[plane], plane
+
+
+def _scan_prime(ring: FiniteRing, mask: np.ndarray):
+    return _least_violations(_prime_planes(ring, mask), ring.zero)
+
+
+def _scan_two_absorbing(ring: FiniteRing, mask: np.ndarray):
+    return _least_violations(_two_absorbing_planes(ring, mask), ring.zero)
 
 
 def _scan_one_absorbing(ring: FiniteRing, mask: np.ndarray):
@@ -119,29 +152,8 @@ def _scan_one_absorbing(ring: FiniteRing, mask: np.ndarray):
     hits = mask[wz]
     if not hits.any():
         return None, None
-    weak_exists = (hits & (wz != zero)).any()
-    strict = weak = None
-    for x in nu.tolist():
-        xy = mul[x, nu]
-        keep = ~mask[xy]               # pairs with x*y in P satisfy the conclusion
-        if not keep.any():
-            continue
-        ys = nu[keep]
-        plane = mul[np.ix_(xy[keep], zs)]
-        viol = mask[plane]
-        if not viol.any():
-            continue
-        if strict is None:
-            yi, zi = np.argwhere(viol)[0]
-            strict = (x, int(ys[yi]), int(zs[zi]))
-            if not weak_exists:
-                break
-        wv = viol & (plane != zero)
-        if wv.any():
-            yi, zi = np.argwhere(wv)[0]
-            weak = (x, int(ys[yi]), int(zs[zi]))
-            break
-    return strict, weak
+    weak_possible = bool((hits & (wz != zero)).any())
+    return _least_violations(_one_absorbing_planes(ring, mask), zero, weak_possible)
 
 
 # each scan handles one key pair: asking for either member runs the scan once
@@ -160,10 +172,6 @@ def _scan_witness(p: Ideal, key: str) -> tuple | None:
                 cached[strict_key], cached[weak_key] = scan(p.ring, p.mask)
                 break
     return cached[key]
-
-
-def _scans(p: Ideal) -> dict[str, tuple | None]:
-    return {k: _scan_witness(p, k) for k in VERDICT_KEYS}
 
 
 def _verdict(p: Ideal, key: str) -> Verdict:
@@ -206,19 +214,18 @@ class PropertyReport:
 
 def classify(p: Ideal) -> PropertyReport:
     """Full report over all six classes, with witnesses for every False
-    verdict. The implication diagram between the verdicts is asserted."""
+    verdict. The implication diagram between the verdicts is asserted.
+    The witnesses come from the ideal's scan cache, so a second call
+    rescans nothing."""
     _require_proper(p)
-    if p._report is not None:
-        return p._report
-    wits = _scans(p)
+    wits = {k: _scan_witness(p, k) for k in VERDICT_KEYS}
     verdicts = {k: wits[k] is None for k in VERDICT_KEYS}
     for src, dst in IMPLICATIONS:
         if verdicts[src] and not verdicts[dst]:
             raise AssertionError(
                 f"implication {src} -> {dst} broken on {p!r}; engine bug")
     footnotes = (ZERO_IDEAL_FOOTNOTE,) if p.is_zero else ()
-    p._report = PropertyReport(p, verdicts, dict(wits), footnotes)
-    return p._report
+    return PropertyReport(p, verdicts, wits, footnotes)
 
 
 def witness_violates(p: Ideal, key: str, witness: tuple) -> bool:
@@ -254,25 +261,18 @@ def witness_violates(p: Ideal, key: str, witness: tuple) -> bool:
 
 def _triple_zero_arrays(ring: FiniteRing, mask: np.ndarray):
     """All nonunit triples (x, y, z) with x*y*z = 0, x*y not in P and
-    z not in P, as parallel index arrays in lexicographic order."""
-    mul, zero = ring.mul, ring.zero
-    nu = ring.nonunits
-    z_in = mask[nu]
+    z not in P, as parallel index arrays in lexicographic order.
+
+    P must be weakly 1-absorbing prime. Then no 1-absorbing violation
+    has x*y*z != 0, so its 1-triple zeros are exactly its 1-absorbing
+    violations, collected here from the same planes the scan reads.
+    """
     xs, ys, zs = [], [], []
-    for x in nu.tolist():
-        xy = mul[x, nu]
-        keep = ~mask[xy]
-        if not keep.any():
-            continue
-        plane = mul[np.ix_(xy[keep], nu)]
-        hits = (plane == zero) & ~z_in[None, :]
-        if not hits.any():
-            continue
-        yi, zi = np.nonzero(hits)
-        kept = nu[keep]
+    for (x,), yc, zc, viol, _ in _one_absorbing_planes(ring, mask):
+        yi, zi = np.nonzero(viol)
         xs.append(np.full(len(yi), x, dtype=np.intp))
-        ys.append(kept[yi])
-        zs.append(nu[zi])
+        ys.append(yc[yi])
+        zs.append(zc[zi])
     if not xs:
         empty = np.empty(0, dtype=np.intp)
         return empty, empty.copy(), empty.copy()
@@ -319,36 +319,20 @@ def tmm_characterize(p: Ideal) -> dict[str, bool]:
 
     out = {"i": is_weakly_one_absorbing_prime(p).holds}
 
+    # (P : w) and (0 : w) for every w = x*y outside P, one row each
     ws = np.unique(mul[np.ix_(nu, nu)])
     ws = ws[~mask[ws]]
-    ok2 = ok3 = True
-    for w in ws.tolist():
-        col = mask[mul[:, w]]
-        ann = mul[:, w] == zero
-        if ok2 and not np.array_equal(col, mask | ann):
-            ok2 = False
-        if ok3 and not (np.array_equal(col, mask) or np.array_equal(col, ann)):
-            ok3 = False
-        if not (ok2 or ok3):
-            break
-    out["ii"], out["iii"] = ok2, ok3
+    col = mask[mul[ws]]
+    ann = mul[ws] == zero
+    out["ii"] = bool((col == (mask | ann)).all())
+    out["iii"] = bool(((col == mask).all(axis=1)
+                       | (col == ann).all(axis=1)).all())
 
     lat = all_ideals(ring)
     k = len(lat)
     kp = k - 1                               # proper ideals are the prefix
     p_idx = lat.index(p)
     le_p = lat.le[:, p_idx]
-
-    ok4 = True
-    for j_idx in range(kp):
-        if le_p[j_idx]:
-            continue
-        jarr = lat[j_idx].arr
-        b = mul[np.ix_(ws, jarr)]
-        if (mask[b].all(axis=1) & (b != zero).any(axis=1)).any():
-            ok4 = False
-            break
-    out["iv"] = ok4
 
     # x*Q containment and nonvanishing for every lattice member Q; the
     # set {x*i*j} lies in P iff x*(IJ) does, and is nonzero iff x*(IJ) is
@@ -358,6 +342,9 @@ def tmm_characterize(p: Ideal) -> dict[str, bool]:
         b = mul[:, lat[qi].arr]
         xin[:, qi] = mask[b].all(axis=1)
         xnz[:, qi] = (b != zero).any(axis=1)
+    viol4 = xin[ws, :kp] & xnz[ws, :kp] & ~le_p[None, :kp]
+    out["iv"] = not viol4.any()
+
     pt = lat.product_table
     pr = pt[:kp, :kp]
     lhs = xnz[:, pr] & xin[:, pr]

@@ -18,7 +18,7 @@ import sys
 
 from . import __version__
 from .classify import VERDICT_KEYS, classify, witness_violates
-from .dsl import build_ring_text, ideal_text, parse_ideal
+from .dsl import _Parser, build_ring_text, ideal_text, parse_ideal, parse_ring
 from .errors import CapExceeded, EngineError, LatticeCapExceeded, ParseError
 from .ideals import Ideal, all_ideals, ideal_product
 from .rings import FiniteRing, make_product, make_zn
@@ -175,7 +175,6 @@ def _cmd_lattice(args) -> int:
 
 
 def _read_corpus(path: str) -> list:
-    from .dsl import parse_ring
     exprs = []
     with open(path, encoding="utf-8") as fh:
         for line in fh:
@@ -246,96 +245,55 @@ _PROPERTY_ALIASES = {
 }
 
 
-def _tokenize_property(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c in "()":
-            tokens.append(("paren", c, i))
-            i += 1
-            continue
-        if c.isalnum() or c == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            low = word.lower()
-            if low in ("and", "or", "not"):
-                tokens.append((low, word, i))
-            elif low in _PROPERTY_ALIASES:
-                tokens.append(("name", _PROPERTY_ALIASES[low], i))
-            else:
-                raise ParseError(i, frozenset(
-                    ["AND", "OR", "NOT", "a property name"]), word)
-            i = j
-            continue
-        raise ParseError(i, frozenset(["AND", "OR", "NOT", "'('", "')'",
-                                       "a property name"]), c)
-    return tokens
+class _PropertyParser(_Parser):
+    """Property expressions: OR < AND < NOT, parenthesized subterms.
+    Keywords and property names are case-insensitive words."""
 
+    def _word(self) -> str:
+        """The lowercased word at the cursor, without consuming it."""
+        self._ws()
+        end = self.pos
+        while end < len(self.text) and (self.text[end].isalnum()
+                                        or self.text[end] == "_"):
+            end += 1
+        return self.text[self.pos:end].lower()
 
-class _PropertyParser:
-    """Property expressions: OR < AND < NOT, parenthesized subterms."""
-
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize_property(text)
-        self.pos = 0
-
-    def _peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def _fail(self, *expected: str):
-        tok = self._peek()
-        if tok is None:
-            raise ParseError(len(self.text), frozenset(expected))
-        raise ParseError(tok[2], frozenset(expected), tok[1])
+    def _keyword(self, word: str) -> bool:
+        if self._word() != word:
+            return False
+        self.pos += len(word)
+        return True
 
     def parse(self):
         node = self.or_expr()
-        if self._peek() is not None:
+        if not self.at_end():
             self._fail("AND", "OR", "end of input")
         return node
 
     def or_expr(self):
         node = self.and_expr()
-        while (tok := self._peek()) and tok[0] == "or":
-            self.pos += 1
-            rhs = self.and_expr()
-            node = ("or", node, rhs)
+        while self._keyword("or"):
+            node = ("or", node, self.and_expr())
         return node
 
     def and_expr(self):
         node = self.not_expr()
-        while (tok := self._peek()) and tok[0] == "and":
-            self.pos += 1
-            rhs = self.not_expr()
-            node = ("and", node, rhs)
+        while self._keyword("and"):
+            node = ("and", node, self.not_expr())
         return node
 
     def not_expr(self):
-        tok = self._peek()
-        if tok is None:
-            self._fail("NOT", "'('", "a property name")
-        if tok[0] == "not":
-            self.pos += 1
+        if self._keyword("not"):
             return ("not", self.not_expr())
-        if tok == ("paren", "(", tok[2]):
-            self.pos += 1
+        if self._eat("("):
             node = self.or_expr()
-            closing = self._peek()
-            if closing is None or closing[:2] != ("paren", ")"):
-                self._fail("')'")
-            self.pos += 1
+            self._expect(")")
             return node
-        if tok[0] == "name":
-            self.pos += 1
-            return ("name", tok[1])
-        self._fail("NOT", "'('", "a property name")
+        word = self._word()
+        if word not in _PROPERTY_ALIASES:
+            self._fail("NOT", "'('", "a property name")
+        self.pos += len(word)
+        return ("name", _PROPERTY_ALIASES[word])
 
 
 def parse_property(text: str):

@@ -36,9 +36,8 @@ class Ideal:
         _check_ideal(ring, self.elements)
         self.given_generators = (None if generators is None
                                  else tuple(int(g) for g in generators))
-        # filled by the classifiers: witness per verdict key, full report
+        # filled by the classifiers: witness per verdict key
         self._scan_witnesses: dict[str, tuple | None] = {}
-        self._report = None
 
     @cached_property
     def generators(self) -> tuple[int, ...]:
@@ -231,17 +230,6 @@ class IdealLattice:
             out[i:, i] = first
         return out
 
-    @cached_property
-    def first_non_w1ap(self) -> Ideal | None:
-        """First proper ideal that is not weakly 1-absorbing prime, or
-        None when all of them are."""
-        # imported here because classify imports this module
-        from .classify import is_weakly_one_absorbing_prime
-        for p in self.proper:
-            if not is_weakly_one_absorbing_prime(p).holds:
-                return p
-        return None
-
     def index(self, ideal: Ideal) -> int:
         return self.index_of[ideal.elements]
 
@@ -255,7 +243,8 @@ def all_ideals(ring: FiniteRing, cap: int = LATTICE_CAP) -> IdealLattice:
     that set under "+ (a)" alone, skipping every (a) an ideal already
     contains, finds them all. Each result is validated as an Ideal, so
     a corrupted table that breaks closure raises ValueError. The cap is
-    checked as each ideal that is not principal is found.
+    checked on the principal ideals and again as each ideal that is not
+    principal is found.
     """
     if ring._lattice is not None:
         return ring._lattice
@@ -265,6 +254,8 @@ def all_ideals(ring: FiniteRing, cap: int = LATTICE_CAP) -> IdealLattice:
     found: dict[bytes, tuple[np.ndarray, tuple[int, ...]]] = {}
     for a in range(n):
         found.setdefault(principal[a].tobytes(), (principal[a], (a,)))
+    if len(found) > cap:
+        raise LatticeCapExceeded(f"more than {cap} ideals in {ring.text}")
     pmasks = np.stack([m for m, _ in found.values()])
     parrs = [np.flatnonzero(m) for m in pmasks]
     pgens = [g for _, (g,) in found.values()]

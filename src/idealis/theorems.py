@@ -57,25 +57,12 @@ from .rings import (
 
 MAX_FAILURES = 20
 
-CHECK_ORDER = (
-    "radical_weakly_prime",
-    "hom_transfer",
-    "quotient_transfer",
-    "localization_transfer",
-    "nonlocal_equivalence",
-    "colon_characterization",
-    "triple_zero_annihilation",
-    "reduced_triple_zero",
-    "idealization_transfer",
-    "product_prime_shape",
-    "product_all_ideals",
-    "jacobson_dichotomy",
-    "local_cube_zero",
-    "local_square_one_absorbing",
-    "two_maximal_bound",
-    "global_classification",
-    "zn_table",
-)
+# the transfer checks skip corpus rings above these sizes: they build a
+# quotient per ideal, a localization per multiplicative set, or r x r
+HOM_SIZE_LIMIT = 24
+HOM_DIAGONAL_LIMIT = 8
+QUOTIENT_SIZE_LIMIT = 36
+LOCALIZATION_SIZE_LIMIT = 24
 
 
 @dataclass
@@ -118,7 +105,7 @@ def _w1ap(p: Ideal) -> bool:
 def non_w1ap_ideal(ring: FiniteRing) -> Ideal | None:
     """First proper ideal (lattice order) that is not weakly 1-absorbing
     prime, or None when all of them are."""
-    return all_ideals(ring).first_non_w1ap
+    return next((p for p in all_ideals(ring).proper if not _w1ap(p)), None)
 
 
 def all_proper_w1ap(ring: FiniteRing) -> bool:
@@ -170,9 +157,7 @@ def _diagonal_hom(r: FiniteRing) -> Homomorphism:
     return Homomorphism(r, rr, np.arange(r.size, dtype=np.int64) * (r.size + 1))
 
 
-def check_hom_transfer(rings: list[FiniteRing],
-                       size_limit: int = 24,
-                       diagonal_limit: int = 8) -> TheoremCheck:
+def check_hom_transfer(rings: list[FiniteRing]) -> TheoremCheck:
     """Transfer along unit homomorphisms: the preimage of a weakly
     1-absorbing prime ideal under an injective nonunit-preserving map is
     weakly 1-absorbing prime, and the image under a surjection is, when
@@ -185,11 +170,11 @@ def check_hom_transfer(rings: list[FiniteRing],
     failures: list[dict] = []
     homs: list[Homomorphism] = []
     for r in rings:
-        if r.size <= size_limit:
+        if r.size <= HOM_SIZE_LIMIT:
             homs.append(_identity_hom(r))
             for q in all_ideals(r).proper:
                 homs.append(make_quotient(r, q)[1])
-        if r.size <= diagonal_limit:
+        if r.size <= HOM_DIAGONAL_LIMIT:
             homs.append(_diagonal_hom(r))
     for f in homs:
         if f.is_injective:
@@ -220,8 +205,7 @@ def check_hom_transfer(rings: list[FiniteRing],
                    f"{len(homs)} homomorphisms")
 
 
-def check_quotient_transfer(rings: list[FiniteRing],
-                            size_limit: int = 36) -> TheoremCheck:
+def check_quotient_transfer(rings: list[FiniteRing]) -> TheoremCheck:
     """Quotient behaviour: (i) P/Q is weakly 1-absorbing prime whenever
     P is and Q <= P; (ii) with unit lifting, Q and P/Q weakly
     1-absorbing prime force P to be; (iii) when the zero ideal is
@@ -230,7 +214,7 @@ def check_quotient_transfer(rings: list[FiniteRing],
     tested = vacuous = 0
     failures: list[dict] = []
     for r in rings:
-        if r.size > size_limit:
+        if r.size > QUOTIENT_SIZE_LIMIT:
             continue
         lat = all_ideals(r)
         proper = lat.proper
@@ -292,8 +276,7 @@ def _cyclic_mult_sets(r: FiniteRing) -> list[tuple[int, ...]]:
     return sorted(out.values(), key=lambda s: (len(s), s))
 
 
-def check_localization_transfer(rings: list[FiniteRing],
-                                size_limit: int = 24) -> TheoremCheck:
+def check_localization_transfer(rings: list[FiniteRing]) -> TheoremCheck:
     """Localization behaviour: the extension of a weakly 1-absorbing
     prime ideal disjoint from S stays weakly 1-absorbing prime. The
     converse instances require S inside the regular elements; since
@@ -303,7 +286,7 @@ def check_localization_transfer(rings: list[FiniteRing],
     converse_tested = 0
     failures: list[dict] = []
     for r in rings:
-        if r.size > size_limit:
+        if r.size > LOCALIZATION_SIZE_LIMIT:
             continue
         for s in _cyclic_mult_sets(r):
             rl, can = make_localization(r, s)
@@ -770,6 +753,8 @@ CHECKS = {
     "global_classification": check_global_classification,
     "zn_table": check_zn_table,
 }
+
+CHECK_ORDER = tuple(CHECKS)           # the order checks run and print in
 
 
 def default_corpus_exprs() -> list[ex.RingExpr]:

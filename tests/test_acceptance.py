@@ -55,6 +55,7 @@ from idealis.theorems import (
     non_w1ap_ideal,
     zn_boundary_flagged,
 )
+from scan_oracle import oracle_witnesses
 
 
 def _by_id(checks):
@@ -268,6 +269,15 @@ def _check_literal_round_trips(ring, text):
         assert parse_ideal(ideal_text(p), ring) == p, (text, ideal_text(p))
 
 
+def _check_classification(ring, text):
+    # every witness violates its definition and is the oracle's witness
+    for p in all_ideals(ring).proper:
+        rep = classify(p)
+        for key, wit in rep.witnesses.items():
+            assert wit is None or witness_violates(p, key, wit), (text, key, wit)
+        assert rep.witnesses == oracle_witnesses(p), (text, ideal_text(p))
+
+
 def test_criterion_09_dsl_round_trip():
     rng = random.Random(20260816)
     built = 0
@@ -281,6 +291,7 @@ def test_criterion_09_dsl_round_trip():
             continue
         built += 1
         _check_literal_round_trips(ring, text)
+        _check_classification(ring, text)
     assert built >= 100, f"only {built} fuzzed rings built"
 
     # malformed inputs: seeded mutations of valid texts must either
@@ -318,10 +329,11 @@ def test_criterion_09_dsl_round_trip():
             continue
         built_small += 1
         _check_literal_round_trips(ring, print_expr(e))
+        _check_classification(ring, print_expr(e))
     assert built_small >= 100, f"only {built_small} small fuzzed rings built"
     print(f"criterion 9 PASS: 1000 round trips, 500 mutations, no crashes; "
           f"{built + built_small} fuzzed rings built with literals and "
-          "ideals re-parsed")
+          "ideals re-parsed and every proper ideal classified")
 
 
 def test_criterion_10_default_verify():

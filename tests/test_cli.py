@@ -8,7 +8,7 @@ import json
 
 import pytest
 
-from idealis import TheoremCheck, __version__
+from idealis import ParseError, TheoremCheck, __version__
 from idealis.cli import main, parse_property, eval_property
 
 
@@ -235,3 +235,12 @@ def test_search_bad_property_exits_2(capsys):
     assert rc == 2
     rc, _, _ = run(capsys, "search", "--property", "(w1ap")
     assert rc == 2
+
+
+def test_search_property_error_offsets():
+    cases = (("w1ap AND", 8), ("(w1ap", 5), ("w1ap wibble", 5),
+             ("w1ap AND NOT wibble", 13), ("w1ap ANDprime", 5))
+    for text, offset in cases:
+        with pytest.raises(ParseError) as info:
+            parse_property(text)
+        assert info.value.offset == offset, text

@@ -168,6 +168,17 @@ def test_lattice_cap():
         all_ideals(make_local_algebra(2), cap=5)
 
 
+def test_lattice_cap_with_only_principal_ideals():
+    # every ideal of Z720 (30) and of Z2^6 (64) is principal, so the cap
+    # must hold before the closure finds anything new
+    boolean = make_zn(2)
+    for _ in range(5):
+        boolean = make_product(boolean, make_zn(2))
+    for ring in (make_zn(720), boolean):
+        with pytest.raises(LatticeCapExceeded):
+            all_ideals(ring, cap=5)
+
+
 def test_lattice_cached_on_ring():
     r = make_zn(30)
     assert all_ideals(r) is all_ideals(r)
