@@ -21,7 +21,7 @@ from .classify import VERDICT_KEYS, classify, witness_violates
 from .dsl import _Parser, build_ring_text, ideal_text, parse_ideal, parse_ring
 from .errors import CapExceeded, EngineError, LatticeCapExceeded, ParseError
 from .ideals import Ideal, all_ideals, ideal_product
-from .rings import FiniteRing, make_product, make_zn
+from .rings import DEFAULT_ELEMENT_CAP, FiniteRing, make_product, make_zn
 from .theorems import (
     TheoremCheck,
     build_corpus,
@@ -343,35 +343,38 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="idealis",
         description="Exact ideal classification over finite commutative rings.")
     sub = ap.add_subparsers(dest="command", required=True)
+    capped = argparse.ArgumentParser(add_help=False)
+    capped.add_argument("--cap", type=int, default=None,
+                        help="element cap override (default: IDEALIS_CAP, "
+                        f"else {DEFAULT_ELEMENT_CAP})")
 
-    p = sub.add_parser("classify", help="classify one ideal or all proper ideals")
+    p = sub.add_parser("classify", parents=[capped],
+                       help="classify one ideal or all proper ideals")
     p.add_argument("ring", help='ring expression, e.g. "Z12"')
     p.add_argument("ideal", nargs="?", default=None,
                    help='ideal literal, e.g. "(4)"')
     p.add_argument("--recheck", action="store_true",
                    help="re-validate every reported witness; exit 1 on mismatch")
-    p.add_argument("--cap", type=int, default=None, help="element cap override")
     p.set_defaults(func=_cmd_classify)
 
-    p = sub.add_parser("lattice", help="ideal lattice as JSON or DOT")
+    p = sub.add_parser("lattice", parents=[capped], help="ideal lattice as JSON or DOT")
     p.add_argument("ring")
     p.add_argument("--dot", action="store_true", help="emit a DOT Hasse diagram")
-    p.add_argument("--cap", type=int, default=None)
     p.set_defaults(func=_cmd_lattice)
 
-    p = sub.add_parser("verify", help="run every theorem check over a corpus")
+    p = sub.add_parser("verify", parents=[capped],
+                       help="run every theorem check over a corpus")
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--corpus", help="file of ring expressions, one per line")
     src.add_argument("--default", action="store_true",
                      help="use the built-in default corpus")
-    p.add_argument("--cap", type=int, default=None)
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("search", help="stream (ring, ideal) pairs matching a property")
+    p = sub.add_parser("search", parents=[capped],
+                       help="stream (ring, ideal) pairs matching a property")
     p.add_argument("--property", required=True,
                    help='e.g. "w1ap AND NOT weaklyPrime"')
     p.add_argument("--max-size", type=int, default=16, dest="max_size")
-    p.add_argument("--cap", type=int, default=None)
     p.set_defaults(func=_cmd_search)
     return ap
 

@@ -59,6 +59,13 @@ def element_cap() -> int:
     return int(raw) if raw else DEFAULT_ELEMENT_CAP
 
 
+def _check_cap(n: int, cap: int | None) -> None:
+    """Refuse a ring of n elements above the cap (default: element_cap())."""
+    limit = element_cap() if cap is None else cap
+    if n > limit:
+        raise CapExceeded(f"ring would have {n} elements, cap is {limit}")
+
+
 class FiniteRing:
     """A verified finite commutative ring with identity.
 
@@ -86,9 +93,7 @@ class FiniteRing:
         if add.ndim != 2 or add.shape[0] != add.shape[1]:
             raise ValueError("addition table must be square")
         n = add.shape[0]
-        limit = element_cap() if cap is None else cap
-        if n > limit:
-            raise CapExceeded(f"ring would have {n} elements, cap is {limit}")
+        _check_cap(n, cap)
         if mul.shape != (n, n):
             raise ValueError("multiplication table shape does not match")
         if n < 2:
@@ -289,9 +294,7 @@ def make_zn(n: int, cap: int | None = None) -> FiniteRing:
     """The ring of integers modulo n, elements 0..n-1."""
     if n < 2:
         raise ValueError("Z_n needs n >= 2")
-    limit = element_cap() if cap is None else cap
-    if n > limit:
-        raise CapExceeded(f"ring would have {n} elements, cap is {limit}")
+    _check_cap(n, cap)
     idx = np.arange(n, dtype=np.int64)
     add = (idx[:, None] + idx[None, :]) % n
     mul = (idx[:, None] * idx[None, :]) % n
@@ -302,9 +305,7 @@ def make_product(r1: FiniteRing, r2: FiniteRing, cap: int | None = None) -> Fini
     """Direct product; element (a, b) is stored at index a*r2.size + b."""
     s1, s2 = r1.size, r2.size
     n = s1 * s2
-    limit = element_cap() if cap is None else cap
-    if n > limit:
-        raise CapExceeded(f"ring would have {n} elements, cap is {limit}")
+    _check_cap(n, cap)
     add = (r1.add.astype(np.int64)[:, None, :, None] * s2
            + r2.add[None, :, None, :]).reshape(n, n)
     mul = (r1.mul.astype(np.int64)[:, None, :, None] * s2
@@ -313,6 +314,23 @@ def make_product(r1: FiniteRing, r2: FiniteRing, cap: int | None = None) -> Fini
     one = r1.one * s2 + r2.one
     prov = ex.Product(r1.provenance, r2.provenance)
     return FiniteRing(add, mul, zero, one, prov, cap=cap, factors=(r1, r2))
+
+
+def _cosets(r: FiniteRing, members: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cosets of the additive subgroup `members`: the least element of each
+    coset in ascending order, and the coset number of every element."""
+    least = r.add[:, members].min(axis=1)
+    return np.unique(least, return_inverse=True)
+
+
+def _quotient_ring(r: FiniteRing, reps: np.ndarray, proj: np.ndarray,
+                   prov: ex.RingExpr, cap: int | None) -> tuple[FiniteRing, Homomorphism]:
+    """The ring on the cosets numbered by proj, where reps[c] lies in coset
+    c, plus the verified projection from r."""
+    ix = np.ix_(reps, reps)
+    ring = FiniteRing(proj[r.add[ix]], proj[r.mul[ix]], int(proj[r.zero]),
+                      int(proj[r.one]), prov, cap=cap)
+    return ring, Homomorphism(r, ring, proj)
 
 
 def make_quotient(r: FiniteRing, q: "Ideal",
@@ -327,19 +345,9 @@ def make_quotient(r: FiniteRing, q: "Ideal",
         raise RingMismatch("ideal belongs to a different ring")
     if len(q.elements) == r.size:
         raise ImproperIdeal("cannot quotient by the whole ring (zero ring)")
-    q_arr = np.asarray(q.elements, dtype=np.intp)
-    rep = r.add[:, q_arr].min(axis=1)
-    reps = np.unique(rep)
-    k = len(reps)
-    rank = np.full(r.size, -1, dtype=np.int32)
-    rank[reps] = np.arange(k, dtype=np.int32)
-    proj = rank[rep]
-    q_add = proj[r.add[np.ix_(reps, reps)]]
-    q_mul = proj[r.mul[np.ix_(reps, reps)]]
+    reps, proj = _cosets(r, q.arr)
     lits = tuple(element_literal(r, g) for g in q.generators)
-    prov = ex.Quotient(r.provenance, lits)
-    ring = FiniteRing(q_add, q_mul, int(proj[r.zero]), int(proj[r.one]), prov, cap=cap)
-    hom = Homomorphism(r, ring, proj)
+    ring, hom = _quotient_ring(r, reps, proj, ex.Quotient(r.provenance, lits), cap)
     if hom.kernel != q.elements:
         raise ValueError("projection kernel disagrees with the quotienting ideal")
     return ring, hom
@@ -347,13 +355,20 @@ def make_quotient(r: FiniteRing, q: "Ideal",
 
 def make_localization(r: FiniteRing, s: Iterable[int],
                       cap: int | None = None) -> tuple[FiniteRing, Homomorphism]:
-    """Localization S^-1 r by explicit pair equivalence.
+    """Localization S^-1 r plus the verified canonical map a -> a/1.
 
-    Pairs (a, t) with t in S, where (a, t) ~ (b, u) iff v*(a*u - b*t) = 0
-    for some v in S. Returns the localized ring and the verified
-    canonical map a -> a/1. The kernel of the map is asserted to be
-    {a : s*a = 0 for some s in S}, and the image of every element of S
-    is asserted to be a unit.
+    In a finite ring the canonical map is onto: the powers of t in S
+    cycle, t^(k+p) = t^k with p >= 1, so t^p/1 = 1 and a/t = a*t^(p-1)/1.
+    Its kernel is K = {a : ta = 0 for some t in S}, so S^-1 r is r/K, and
+    it is built here as that quotient. The result is certified, not
+    assumed: the map is a verified Homomorphism, onto by construction,
+    every element of S maps to a unit, and the kernel is asserted to be
+    exactly K. By the universal property the map then factors through
+    S^-1 r, and the induced map S^-1 r -> r/K is onto and has zero kernel.
+
+    Elements are numbered as in the pair construction S^-1 r = (r x S)/~:
+    each class by the least index a*|S| + (position of t in sorted S) of
+    a pair (a, t) with a/t in it.
     """
     s_idx = np.asarray(sorted({int(a) for a in s}), dtype=np.intp)
     if len(s_idx) == 0:
@@ -372,58 +387,18 @@ def make_localization(r: FiniteRing, s: Iterable[int],
         raise NotMultClosed(
             f"{s_idx[a]}*{s_idx[b]} = {prods[a, b]} is not in S")
 
-    ns = len(s_idx)
-    m = r.size * ns
-    if m > 8192:
-        raise CapExceeded(
-            f"localization pair table would have {m}^2 entries; "
-            "shrink the ring or the multiplicative set")
-    a_vec = np.repeat(np.arange(r.size, dtype=np.intp), ns)
-    t_vec = np.tile(s_idx, r.size)
-    s_pos = np.full(r.size, -1, dtype=np.intp)
-    s_pos[s_idx] = np.arange(ns)
+    torsion = np.flatnonzero((r.mul[s_idx] == r.zero).any(axis=0))     # K
+    reps, proj = _cosets(r, torsion)
+    # the least a with a/t = c is the least element of the coset c*t
+    least_a = reps[proj[r.mul[np.ix_(reps, s_idx)]]]
+    order = np.argsort((least_a * len(s_idx) + np.arange(len(s_idx))).min(axis=1))
+    reps, proj = reps[order], np.argsort(order)[proj]
 
-    # d is killable iff some v in S annihilates it
-    kill = (r.mul[s_idx] == r.zero).any(axis=0)
-
-    term = r.mul[a_vec[:, None], t_vec[None, :]]      # [p, q] = a_p * t_q
-    diff = r.add[term, r.neg[term.T]]
-    eq = kill[diff]                                    # pair equivalence
-    if not (eq.T == eq).all() or not eq.diagonal().all():
-        raise ValueError("pair equivalence failed to be symmetric/reflexive")
-    cls_rep = eq.argmax(axis=1)                        # least equivalent pair
-    if not (cls_rep[cls_rep] == cls_rep).all():
-        raise ValueError("pair equivalence failed to be transitive")
-    reps = np.unique(cls_rep)
-    k = len(reps)
-    limit = element_cap() if cap is None else cap
-    if k > limit:
-        raise CapExceeded(f"ring would have {k} elements, cap is {limit}")
-    rank = np.full(m, -1, dtype=np.int32)
-    rank[reps] = np.arange(k, dtype=np.int32)
-    pair_class = rank[cls_rep]
-
-    ra = a_vec[reps]
-    rt = t_vec[reps]
-    num = r.add[r.mul[ra[:, None], rt[None, :]], r.mul[ra[None, :], rt[:, None]]]
-    den = r.mul[rt[:, None], rt[None, :]]
-    den_pos = s_pos[den]
-    q_add = pair_class[num.astype(np.int64) * ns + den_pos]
-    q_mul = pair_class[r.mul[ra[:, None], ra[None, :]].astype(np.int64) * ns + den_pos]
-
-    one_pos = int(s_pos[r.one])
-    zero_c = int(pair_class[r.zero * ns + one_pos])
-    one_c = int(pair_class[r.one * ns + one_pos])
     lits = tuple(element_literal(r, int(a)) for a in s_idx)
-    prov = ex.Localize(r.provenance, lits)
-    ring = FiniteRing(q_add, q_mul, zero_c, one_c, prov, cap=cap)
-
-    can = pair_class[np.arange(r.size, dtype=np.int64) * ns + one_pos]
-    hom = Homomorphism(r, ring, can)
-    if not ring.unit_mask[can[s_idx]].all():
+    ring, hom = _quotient_ring(r, reps, proj, ex.Localize(r.provenance, lits), cap)
+    if not ring.unit_mask[proj[s_idx]].all():
         raise ValueError("some element of S fails to become a unit")
-    expected_kernel = tuple(int(a) for a in np.flatnonzero(kill))
-    if hom.kernel != expected_kernel:
+    if hom.kernel != tuple(torsion.tolist()):
         raise ValueError("canonical map kernel disagrees with {a : sa = 0}")
     return ring, hom
 
@@ -437,17 +412,10 @@ def make_idealization(r: FiniteRing, j: "Ideal", cap: int | None = None) -> Fini
     """
     if j.ring is not r:
         raise RingMismatch("ideal belongs to a different ring")
-    j_arr = np.asarray(j.elements, dtype=np.intp)
-    rep = r.add[:, j_arr].min(axis=1)
-    mreps = np.unique(rep)
+    mreps, to_m = _cosets(r, j.arr)                   # module coset rank
     k = len(mreps)
     n = r.size * k
-    limit = element_cap() if cap is None else cap
-    if n > limit:
-        raise CapExceeded(f"ring would have {n} elements, cap is {limit}")
-    mrank = np.full(r.size, -1, dtype=np.int32)
-    mrank[mreps] = np.arange(k, dtype=np.int32)
-    to_m = mrank[rep]                                  # module coset rank
+    _check_cap(n, cap)
     madd = to_m[r.add[np.ix_(mreps, mreps)]]
     act = to_m[r.mul[:, mreps]]                        # act[a, m] = rank(a*m)
 
@@ -479,9 +447,7 @@ def make_local_algebra(p: int, cap: int | None = None) -> FiniteRing:
     if p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
         raise NotPrime(f"{p} is not prime")
     n = p ** 3
-    limit = element_cap() if cap is None else cap
-    if n > limit:
-        raise CapExceeded(f"ring would have {n} elements, cap is {limit}")
+    _check_cap(n, cap)
     idx = np.arange(n, dtype=np.int64)
     a, b, c = idx // p ** 2, (idx // p) % p, idx % p
     add = (((a[:, None] + a) % p) * p ** 2

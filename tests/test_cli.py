@@ -119,6 +119,23 @@ def test_cap_env_and_flag_precedence(capsys, monkeypatch):
     assert rc == 0
 
 
+@pytest.mark.parametrize("command", ["classify", "lattice", "verify", "search"])
+def test_every_command_documents_cap(capsys, command):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    assert "element cap override" in capsys.readouterr().out
+
+
+def test_localization_with_many_denominators(capsys):
+    """|Z720| * |S| = 8640 pairs; the localization is built as a quotient,
+    so there is no pair table to cap."""
+    rc, out, _ = run(capsys, "classify",
+                     "Loc(Z720, 1, 7, 49, 103, 241, 247, 289, 343, 481, 487, 529, 583)",
+                     "(0)")
+    assert rc == 0
+    assert json.loads(out)["ringSize"] == 720
+
+
 def test_lattice_dot_z12(capsys):
     rc, out, _ = run(capsys, "lattice", "Z12", "--dot")
     assert rc == 0
