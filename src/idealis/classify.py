@@ -14,17 +14,14 @@ Every predicate returns its verdict together with the lexicographically
 least violating tuple when the verdict is False. Zero counts as a
 nonunit.
 
-Each strict/weak pair is one family, and each family yields its
-candidates as planes in lex order: prime is the single (x, y) plane,
-2-absorbing has one (y, z) plane per x, and 1-absorbing one plane per
-nonunit x, over nonunits y with x*y outside P and nonunits z outside
-P. Leaving out pairs with x*y in P is not a shortcut: such triples
-satisfy the disjunction by definition. One search, _least_violations,
-reads every family's planes row-major, so its first hit is the least
-violation. A weak violation is in particular a strict one, so the
-strict witness is found at or before the weak one and one pass
-resolves both. The 1-triple zeros of a weakly 1-absorbing prime ideal
-are collected from the same 1-absorbing planes.
+Each strict/weak pair is one family. Prime yields the single (x, y)
+plane and 2-absorbing one (y, z) plane per x; _least_violations reads
+them row-major, so its first hit is the least violation. A weak
+violation is a strict one, so one pass finds both witnesses. The
+1-absorbing condition sees nonunits x, y only through w = x*y: its table
+has a row per such w outside P (w in P satisfies the disjunction), a
+column per nonunit z outside P and a hit where w*z is in P. The first
+pair with a hit gives the witness; the hits are the 1-triple zeros.
 """
 
 from __future__ import annotations
@@ -74,13 +71,12 @@ def _require_proper(p: Ideal) -> None:
         raise ImproperIdeal(f"classification needs a proper ideal of {p.ring.text}")
 
 
-def _least_violations(planes, zero: int, weak_possible: bool = True):
+def _least_violations(planes, zero: int):
     """Lex-least strict and weak violation over planes in lex order.
 
     A plane is (head, ys, zs, viol, prods): the coordinates it shares,
     the candidates along its two axes, its violation mask, and the
-    products that make a violation weak when nonzero. With
-    `weak_possible` False the search stops at the strict witness.
+    products that make a violation weak when nonzero.
     """
     strict = None
     for head, ys, zs, viol, prods in planes:
@@ -89,8 +85,6 @@ def _least_violations(planes, zero: int, weak_possible: bool = True):
         if strict is None:
             i, j = np.argwhere(viol)[0]
             strict = head + (int(ys[i]), int(zs[j]))
-            if not weak_possible:
-                break
         wv = viol & (prods != zero)
         if wv.any():
             i, j = np.argwhere(wv)[0]
@@ -116,18 +110,57 @@ def _two_absorbing_planes(ring: FiniteRing, mask: np.ndarray):
         yield (x,), every, every, viol, plane
 
 
-def _one_absorbing_planes(ring: FiniteRing, mask: np.ndarray):
-    """One plane per nonunit x, over nonunits y with x*y outside P and
-    nonunits z outside P; pairs with x*y in P satisfy the conclusion."""
-    mul = ring.mul
-    nu = ring.nonunits
-    zs = nu[~mask[nu]]
-    for x in nu.tolist():
-        xy = mul[x, nu]
-        keep = ~mask[xy]
-        if keep.any():
-            plane = mul[np.ix_(xy[keep], zs)]
-            yield (x,), nu[keep], zs, mask[plane], plane
+class _OneAbsorbingTable(NamedTuple):
+    """The 1-absorbing candidates: nonunits nu, zs those outside P,
+    xy = nu*nu, ws the sorted xy outside P with row[w] the row of w
+    (len(ws) for w in P), and hits where prods = ws*zs lie in P."""
+    nu: np.ndarray
+    zs: np.ndarray
+    ws: np.ndarray
+    xy: np.ndarray
+    row: np.ndarray
+    prods: np.ndarray
+    hits: np.ndarray
+
+    @classmethod
+    def build(cls, ring: FiniteRing, mask: np.ndarray):
+        nu = ring.nonunits
+        xy = ring.mul[np.ix_(nu, nu)]
+        ws = np.unique(xy[~mask[xy]])
+        zs = nu[~mask[nu]]
+        # an n-long lookup; return_inverse would sort the pairs again
+        row = np.full(ring.size, len(ws))
+        row[ws] = np.arange(len(ws))
+        prods = ring.mul[np.ix_(ws, zs)]
+        return cls(nu, zs, ws, xy, row, prods, mask[prods])
+
+    def pairs(self, viol: np.ndarray):
+        """Which (i, j) have a hit of viol in the row of nu[i]*nu[j]."""
+        return np.append(viol.any(axis=1), False)[self.row][self.xy]
+
+    def first_violation(self, viol: np.ndarray):
+        pairs = self.pairs(viol)
+        i, j = divmod(int(np.argmax(pairs)), len(self.nu))
+        if not pairs[i, j]:
+            return None
+        z = self.zs[np.argmax(viol[self.row[self.xy[i, j]]])]
+        return int(self.nu[i]), int(self.nu[j]), int(z)
+
+    def triple_zeros(self):
+        """The 1-triple zeros as parallel x, y, z arrays in lex order:
+        every pair with a hit, once per hit of its row. P must be weakly
+        1-absorbing prime, so every hit has x*y*z = 0."""
+        i, j = np.nonzero(self.pairs(self.hits))
+        rows = self.row[self.xy[i, j]]
+        per_row = self.hits.sum(axis=1)
+        _, hit_cols = np.nonzero(self.hits)     # row by row, z ascending
+        counts = per_row[rows]
+        # the k-th triple of a pair takes the k-th hit of the pair's row
+        first = (np.cumsum(per_row) - per_row)[rows]
+        at = np.repeat(first - np.cumsum(counts) + counts, counts)
+        at += np.arange(len(at))
+        return (np.repeat(self.nu[i], counts), np.repeat(self.nu[j], counts),
+                self.zs[hit_cols[at]])
 
 
 def _scan_prime(ring: FiniteRing, mask: np.ndarray):
@@ -139,21 +172,11 @@ def _scan_two_absorbing(ring: FiniteRing, mask: np.ndarray):
 
 
 def _scan_one_absorbing(ring: FiniteRing, mask: np.ndarray):
-    mul, zero = ring.mul, ring.zero
-    nu = ring.nonunits
-    zs = nu[~mask[nu]]                 # candidate z values: nonunits outside P
-    # existence pre-filter: a violation is some w = x*y outside P times
-    # some z in zs landing in P, so check the deduplicated products first
-    pair_prods = mul[np.ix_(nu, nu)]
-    ws = np.unique(pair_prods[~mask[pair_prods]])
-    if len(ws) == 0 or len(zs) == 0:
+    t = _OneAbsorbingTable.build(ring, mask)
+    if not t.hits.any():
         return None, None
-    wz = mul[np.ix_(ws, zs)]
-    hits = mask[wz]
-    if not hits.any():
-        return None, None
-    weak_possible = bool((hits & (wz != zero)).any())
-    return _least_violations(_one_absorbing_planes(ring, mask), zero, weak_possible)
+    weak = t.hits & (t.prods != ring.zero)
+    return t.first_violation(t.hits), t.first_violation(weak)
 
 
 # each scan handles one key pair: asking for either member runs the scan once
@@ -259,26 +282,6 @@ def witness_violates(p: Ideal, key: str, witness: tuple) -> bool:
 # 1-triple zeros
 
 
-def _triple_zero_arrays(ring: FiniteRing, mask: np.ndarray):
-    """All nonunit triples (x, y, z) with x*y*z = 0, x*y not in P and
-    z not in P, as parallel index arrays in lexicographic order.
-
-    P must be weakly 1-absorbing prime. Then no 1-absorbing violation
-    has x*y*z != 0, so its 1-triple zeros are exactly its 1-absorbing
-    violations, collected here from the same planes the scan reads.
-    """
-    xs, ys, zs = [], [], []
-    for (x,), yc, zc, viol, _ in _one_absorbing_planes(ring, mask):
-        yi, zi = np.nonzero(viol)
-        xs.append(np.full(len(yi), x, dtype=np.intp))
-        ys.append(yc[yi])
-        zs.append(zc[zi])
-    if not xs:
-        empty = np.empty(0, dtype=np.intp)
-        return empty, empty.copy(), empty.copy()
-    return np.concatenate(xs), np.concatenate(ys), np.concatenate(zs)
-
-
 def find_one_triple_zeros(p: Ideal) -> list[tuple[int, int, int]]:
     """Every 1-triple zero of P, lexicographically ordered.
 
@@ -288,7 +291,7 @@ def find_one_triple_zeros(p: Ideal) -> list[tuple[int, int, int]]:
     _require_proper(p)
     if not is_weakly_one_absorbing_prime(p).holds:
         raise NotW1AP(f"{p!r} is not weakly 1-absorbing prime")
-    xs, ys, zs = _triple_zero_arrays(p.ring, p.mask)
+    xs, ys, zs = _OneAbsorbingTable.build(p.ring, p.mask).triple_zeros()
     return [(int(a), int(b), int(c)) for a, b, c in zip(xs, ys, zs)]
 
 
@@ -315,13 +318,11 @@ def tmm_characterize(p: Ideal) -> dict[str, bool]:
     _require_proper(p)
     ring, mask = p.ring, p.mask
     mul, zero = ring.mul, ring.zero
-    nu = ring.nonunits
 
     out = {"i": is_weakly_one_absorbing_prime(p).holds}
 
     # (P : w) and (0 : w) for every w = x*y outside P, one row each
-    ws = np.unique(mul[np.ix_(nu, nu)])
-    ws = ws[~mask[ws]]
+    ws = _OneAbsorbingTable.build(ring, mask).ws
     col = mask[mul[ws]]
     ann = mul[ws] == zero
     out["ii"] = bool((col == (mask | ann)).all())

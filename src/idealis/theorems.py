@@ -20,7 +20,7 @@ import numpy as np
 
 from . import expr as ex
 from .classify import (
-    _triple_zero_arrays,
+    _OneAbsorbingTable,
     is_one_absorbing_prime,
     is_prime,
     is_weakly_one_absorbing_prime,
@@ -368,14 +368,15 @@ def check_triple_zero_annihilation(rings: list[FiniteRing]) -> TheoremCheck:
         for p in all_ideals(r).proper:
             if not _w1ap(p):
                 continue
-            xs, ys, zs = _triple_zero_arrays(r, p.mask)
+            t = _OneAbsorbingTable.build(r, p.mask)
+            xs, ys, zs = t.triple_zeros()
             if len(xs) == 0:
                 vacuous += 1
                 continue
             tested += 1
             triples_seen += len(xs)
             parr = p.arr
-            uxy = np.unique(mul[xs, ys])
+            uxy = t.ws[t.hits.any(axis=1)]      # x*y of every triple
             if (mul[np.ix_(uxy, parr)] != zero).any():
                 _fail(failures, r, p, "xyP != 0 for some 1-triple zero")
                 continue
@@ -416,10 +417,8 @@ def check_reduced_triple_zero(rings: list[FiniteRing]) -> TheoremCheck:
         for p in all_ideals(r).proper:
             if not _w1ap(p):
                 continue
-            xs, ys, zs = _triple_zero_arrays(r, p.mask)
-            sel = np.zeros(len(xs), dtype=bool)
-            if len(xs):
-                sel = ~p.mask[mul[xs, zs]] & ~p.mask[mul[ys, zs]]
+            xs, ys, zs = _OneAbsorbingTable.build(r, p.mask).triple_zeros()
+            sel = ~p.mask[mul[xs, zs]] & ~p.mask[mul[ys, zs]]
             if sel.any():
                 tested += 1
                 if not p.is_zero:
@@ -431,8 +430,7 @@ def check_reduced_triple_zero(rings: list[FiniteRing]) -> TheoremCheck:
             if (len(xs) and not p.is_zero
                     and not is_one_absorbing_prime(p).holds):
                 nonzero_cases += 1
-                bad = p.mask[mul[xs, zs]] | p.mask[mul[ys, zs]]
-                if not bad.all():
+                if sel.any():
                     _fail(failures, r, p, "triple with xz and yz outside P")
     return _finish("reduced_triple_zero", tested, vacuous, failures,
                    f"{nonzero_cases} nonzero non-1-absorbing cases "
@@ -460,7 +458,8 @@ def check_idealization_transfer(rings: list[FiniteRing]) -> TheoremCheck:
             big = Ideal(r, members.tolist())
             lhs = _w1ap(big)
             if _w1ap(p):
-                xs, ys, zs = _triple_zero_arrays(base, p.mask)
+                t = _OneAbsorbingTable.build(base, p.mask)
+                xs, ys, zs = t.triple_zeros()
                 rhs = bool(ann_m[mul[xs, ys]].all()
                            and ann_m[mul[xs, zs]].all()
                            and ann_m[mul[ys, zs]].all())

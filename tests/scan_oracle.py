@@ -4,7 +4,9 @@ Each key builds its whole violation cube from the definition, n^2 for
 the prime pair and n^3 for the others, and its witness is the first
 index np.argwhere returns, which is the lexicographically least. The
 1-triple zeros are every index of their cube, in the same order. The
-scans in idealis.classify must agree with all of it.
+scans in idealis.classify must agree with all of it. The cubes need n^3
+memory, so rings above 64 elements are checked against the per-x plane
+search at the end of this module instead.
 """
 
 import numpy as np
@@ -50,3 +52,51 @@ def oracle_triple_zeros(p: Ideal) -> list[tuple[int, int, int]]:
     cube = (nonunits & (xyz == p.ring.zero) & ~mask[p.ring.mul][:, :, None]
             & ~mask[None, None, :])
     return [tuple(int(a) for a in t) for t in np.argwhere(cube)]
+
+
+# A per-x plane search for the 1-absorbing family, the reference above
+# 64 elements. It holds one (y, z) plane at a time, so it runs on rings
+# of a few hundred elements, where the cubes above would not fit.
+
+
+def _one_absorbing_planes(p: Ideal):
+    """One plane per nonunit x, over nonunits y with x*y outside P and
+    nonunits z outside P, in lex order."""
+    mask, mul = p.mask, p.ring.mul
+    nu = p.ring.nonunits
+    zs = nu[~mask[nu]]
+    for x in nu.tolist():
+        xy = mul[x, nu]
+        keep = ~mask[xy]
+        if keep.any():
+            plane = mul[np.ix_(xy[keep], zs)]
+            yield x, nu[keep], zs, mask[plane], plane
+
+
+def plane_one_absorbing(p: Ideal) -> tuple[tuple | None, tuple | None]:
+    """The strict and weak 1-absorbing witnesses, first hits row-major."""
+    strict = None
+    for x, ys, zs, viol, prods in _one_absorbing_planes(p):
+        if not viol.any():
+            continue
+        if strict is None:
+            i, j = np.argwhere(viol)[0]
+            strict = (x, int(ys[i]), int(zs[j]))
+        weak = viol & (prods != p.ring.zero)
+        if weak.any():
+            i, j = np.argwhere(weak)[0]
+            return strict, (x, int(ys[i]), int(zs[j]))
+    return strict, None
+
+
+def plane_triple_zeros(p: Ideal) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every violation of the planes as parallel x, y, z arrays: the
+    1-triple zeros when P is weakly 1-absorbing prime."""
+    empty = np.empty(0, dtype=np.intp)
+    xs, ys, zs = [empty], [empty], [empty]
+    for x, yc, zc, viol, _ in _one_absorbing_planes(p):
+        yi, zi = np.nonzero(viol)
+        xs.append(np.full(len(yi), x, dtype=np.intp))
+        ys.append(yc[yi])
+        zs.append(zc[zi])
+    return np.concatenate(xs), np.concatenate(ys), np.concatenate(zs)

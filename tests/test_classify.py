@@ -5,6 +5,8 @@ Witnesses are pinned to the lexicographically least violating tuple, so
 the expected values below were derived by hand from the definitions.
 """
 
+import tracemalloc
+
 import pytest
 
 from idealis import (
@@ -22,6 +24,7 @@ from idealis import (
     is_weakly_prime,
     is_weakly_two_absorbing,
     all_ideals,
+    build_ring_text,
     make_local_algebra,
     make_product,
     make_zn,
@@ -29,6 +32,7 @@ from idealis import (
     witness_violates,
     zero_ideal,
 )
+from idealis.classify import _scan_one_absorbing
 
 
 def _ideal(n, g):
@@ -208,3 +212,18 @@ def test_verdicts_on_product_with_field_factor():
         assert rep.verdicts["weaklyOneAbsorbingPrime"]
         if not p.is_zero:
             assert rep.verdicts["prime"]
+
+
+def test_one_absorbing_scan_memory_is_quadratic():
+    # The scan holds O(n^2) candidates: pairs of nonunits and (x*y, z)
+    # products. A cube over (x, y, z) would need about n times more.
+    ring = build_ring_text("Z4 x Z256")
+    n = ring.size
+    for p in all_ideals(ring).proper:
+        tracemalloc.start()
+        try:
+            _scan_one_absorbing(ring, p.mask)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * n * n, (p.elements[:4], peak)
