@@ -17,11 +17,20 @@ nonunit.
 Each strict/weak pair is one family. Prime yields the single (x, y)
 plane and 2-absorbing one (y, z) plane per x; _least_violations reads
 them row-major, so its first hit is the least violation. A weak
-violation is a strict one, so one pass finds both witnesses. The
-1-absorbing condition sees nonunits x, y only through w = x*y: its table
-has a row per such w outside P (w in P satisfies the disjunction), a
-column per nonunit z outside P and a hit where w*z is in P. The first
-pair with a hit gives the witness; the hits are the 1-triple zeros.
+violation is a strict one, so one pass finds both witnesses.
+
+The 2-absorbing planes draw x, y and z from c, the sorted nonunits
+outside P, with y and z from x on. No violation uses a unit, for a
+unit x puts y*z = x^-1*(x*y*z) in P, nor a member of P, for such an x
+puts x*y in P. The violation is symmetric in x, y and z, so sorting one gives one that
+is lex-smaller or equal: the least has x <= y <= z, and it is the first
+row-major hit of the plane of its x.
+
+The 1-absorbing condition sees nonunits x, y only through w = x*y: its
+table has a row per such w outside P (w in P satisfies the
+disjunction), a column per nonunit z outside P and a hit where w*z is
+in P. The first pair with a hit gives the witness; the hits are the
+1-triple zeros.
 """
 
 from __future__ import annotations
@@ -100,14 +109,21 @@ def _prime_planes(ring: FiniteRing, mask: np.ndarray):
 
 def _two_absorbing_planes(ring: FiniteRing, mask: np.ndarray):
     mul = ring.mul
-    every = np.arange(ring.size)
-    yz_in = mask[mul]
-    for x in range(ring.size):
-        xrow = mul[x]
-        x_in = mask[xrow]              # x*y in P, and x*z in P via the same row
-        plane = mul[xrow]              # [y, z] = x*y*z
-        viol = mask[plane] & ~x_in[:, None] & ~x_in[None, :] & ~yz_in
-        yield (x,), every, every, viol, plane
+    c = ring.nonunits[~mask[ring.nonunits]]
+    cc = mul[np.ix_(c, c)]             # x*y over c x c
+    cc_in = mask[cc]
+    for a, x in enumerate(c.tolist()):
+        tail = c[a:]
+        x_in = cc_in[a, a:]            # x*y in P, and x*z in P via the same row
+        plane = mul[np.ix_(cc[a, a:], tail)]    # [y, z] = x*y*z
+        viol = mask[plane] & ~x_in[:, None] & ~x_in[None, :] & ~cc_in[a:, a:]
+        yield (x,), tail, tail, viol, plane
+
+
+def _pair_products(ring: FiniteRing, mask: np.ndarray):
+    """x*y over pairs of nonunits, and the sorted products outside P."""
+    xy = ring.mul[np.ix_(ring.nonunits, ring.nonunits)]
+    return xy, np.unique(xy[~mask[xy]])
 
 
 class _OneAbsorbingTable(NamedTuple):
@@ -125,8 +141,7 @@ class _OneAbsorbingTable(NamedTuple):
     @classmethod
     def build(cls, ring: FiniteRing, mask: np.ndarray):
         nu = ring.nonunits
-        xy = ring.mul[np.ix_(nu, nu)]
-        ws = np.unique(xy[~mask[xy]])
+        xy, ws = _pair_products(ring, mask)
         zs = nu[~mask[nu]]
         # an n-long lookup; return_inverse would sort the pairs again
         row = np.full(ring.size, len(ws))
@@ -322,7 +337,7 @@ def tmm_characterize(p: Ideal) -> dict[str, bool]:
     out = {"i": is_weakly_one_absorbing_prime(p).holds}
 
     # (P : w) and (0 : w) for every w = x*y outside P, one row each
-    ws = _OneAbsorbingTable.build(ring, mask).ws
+    _, ws = _pair_products(ring, mask)
     col = mask[mul[ws]]
     ann = mul[ws] == zero
     out["ii"] = bool((col == (mask | ann)).all())

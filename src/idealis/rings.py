@@ -51,6 +51,7 @@ if TYPE_CHECKING:
 
 DEFAULT_ELEMENT_CAP = 1024
 _LITERAL_SCAN_MAX = 64
+_INT32_PRODUCTS = 46341         # largest n with (n-1)^2 < 2^31
 
 
 def element_cap() -> int:
@@ -295,9 +296,13 @@ def make_zn(n: int, cap: int | None = None) -> FiniteRing:
     if n < 2:
         raise ValueError("Z_n needs n >= 2")
     _check_cap(n, cap)
-    idx = np.arange(n, dtype=np.int64)
-    add = (idx[:, None] + idx[None, :]) % n
-    mul = (idx[:, None] * idx[None, :]) % n
+    # (n-1)^2 fits int32 up to n = 46341; the tables are built in the
+    # dtype FiniteRing keeps, so no int64 copy is made
+    idx = np.arange(n, dtype=np.int32 if n <= _INT32_PRODUCTS else np.int64)
+    add = idx[:, None] + idx[None, :]
+    add %= n
+    mul = idx[:, None] * idx[None, :]
+    mul %= n
     return FiniteRing(add, mul, 0, 1, ex.Zn(n), cap=cap)
 
 
@@ -306,9 +311,10 @@ def make_product(r1: FiniteRing, r2: FiniteRing, cap: int | None = None) -> Fini
     s1, s2 = r1.size, r2.size
     n = s1 * s2
     _check_cap(n, cap)
-    add = (r1.add.astype(np.int64)[:, None, :, None] * s2
+    # every entry is below n, so the int32 factor tables build it exactly
+    add = (r1.add[:, None, :, None] * s2
            + r2.add[None, :, None, :]).reshape(n, n)
-    mul = (r1.mul.astype(np.int64)[:, None, :, None] * s2
+    mul = (r1.mul[:, None, :, None] * s2
            + r2.mul[None, :, None, :]).reshape(n, n)
     zero = r1.zero * s2 + r2.zero
     one = r1.one * s2 + r2.one

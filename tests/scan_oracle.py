@@ -6,7 +6,7 @@ index np.argwhere returns, which is the lexicographically least. The
 1-triple zeros are every index of their cube, in the same order. The
 scans in idealis.classify must agree with all of it. The cubes need n^3
 memory, so rings above 64 elements are checked against the per-x plane
-search at the end of this module instead.
+searches at the end of this module instead.
 """
 
 import numpy as np
@@ -54,9 +54,44 @@ def oracle_triple_zeros(p: Ideal) -> list[tuple[int, int, int]]:
     return [tuple(int(a) for a in t) for t in np.argwhere(cube)]
 
 
-# A per-x plane search for the 1-absorbing family, the reference above
-# 64 elements. It holds one (y, z) plane at a time, so it runs on rings
-# of a few hundred elements, where the cubes above would not fit.
+# Per-x plane searches for the 2-absorbing and 1-absorbing families, the
+# reference above 64 elements. They hold one (y, z) plane at a time, so
+# they run on rings of a few hundred elements, where the cubes above
+# would not fit.
+
+
+def _least_plane_hits(planes, zero: int) -> tuple[tuple | None, tuple | None]:
+    """The strict and weak witnesses, first hits row-major."""
+    strict = None
+    for x, ys, zs, viol, prods in planes:
+        if not viol.any():
+            continue
+        if strict is None:
+            i, j = np.argwhere(viol)[0]
+            strict = (x, int(ys[i]), int(zs[j]))
+        weak = viol & (prods != zero)
+        if weak.any():
+            i, j = np.argwhere(weak)[0]
+            return strict, (x, int(ys[i]), int(zs[j]))
+    return strict, None
+
+
+def _two_absorbing_planes(p: Ideal):
+    """One plane per element x, over every y and z."""
+    mask, mul = p.mask, p.ring.mul
+    every = np.arange(p.ring.size)
+    yz_in = mask[mul]
+    for x in range(p.ring.size):
+        xrow = mul[x]
+        x_in = mask[xrow]
+        plane = mul[xrow]
+        viol = mask[plane] & ~x_in[:, None] & ~x_in[None, :] & ~yz_in
+        yield x, every, every, viol, plane
+
+
+def plane_two_absorbing(p: Ideal) -> tuple[tuple | None, tuple | None]:
+    """The strict and weak 2-absorbing witnesses."""
+    return _least_plane_hits(_two_absorbing_planes(p), p.ring.zero)
 
 
 def _one_absorbing_planes(p: Ideal):
@@ -74,19 +109,8 @@ def _one_absorbing_planes(p: Ideal):
 
 
 def plane_one_absorbing(p: Ideal) -> tuple[tuple | None, tuple | None]:
-    """The strict and weak 1-absorbing witnesses, first hits row-major."""
-    strict = None
-    for x, ys, zs, viol, prods in _one_absorbing_planes(p):
-        if not viol.any():
-            continue
-        if strict is None:
-            i, j = np.argwhere(viol)[0]
-            strict = (x, int(ys[i]), int(zs[j]))
-        weak = viol & (prods != p.ring.zero)
-        if weak.any():
-            i, j = np.argwhere(weak)[0]
-            return strict, (x, int(ys[i]), int(zs[j]))
-    return strict, None
+    """The strict and weak 1-absorbing witnesses."""
+    return _least_plane_hits(_one_absorbing_planes(p), p.ring.zero)
 
 
 def plane_triple_zeros(p: Ideal) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -6,6 +6,7 @@ products, coset arithmetic for quotients.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,14 +33,27 @@ from idealis.expr import Zn
 
 
 def test_zn_tables_are_modular_arithmetic():
-    for n in (2, 3, 7, 12):
-        r = make_zn(n)
-        for a in range(n):
-            for b in range(n):
-                assert r.add[a, b] == (a + b) % n
-                assert r.mul[a, b] == (a * b) % n
+    for n in (2, 3, 7, 12, 97, 720, 1024):
+        r = make_zn(n, cap=n)
+        idx = np.arange(n, dtype=np.int64)
+        assert r.add.dtype == r.mul.dtype == np.int32
+        assert np.array_equal(r.add, (idx[:, None] + idx) % n), n
+        assert np.array_equal(r.mul, (idx[:, None] * idx) % n), n
         assert r.zero == 0 and r.one == 1
         assert r.text == f"Z{n}"
+
+
+def test_zn_build_peak_memory():
+    # the bound sits between an int32 build, near 17*n^2 bytes, and an
+    # int64 build copied to int32, near 33*n^2
+    n = 720
+    tracemalloc.start()
+    try:
+        make_zn(n, cap=n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20 * n * n, peak
 
 
 def test_zn_units_match_gcd():
@@ -97,6 +111,22 @@ def test_product_is_componentwise():
     left, right = r.factors
     assert left.size == 2 and right.size == 3
     assert r.idealization is None
+
+
+def test_product_tables_equal_the_int64_formula():
+    z2 = make_zn(2)
+    pairs = ((make_zn(12), make_zn(60)), (make_zn(4), make_zn(256)),
+             (make_zn(97), z2), (make_local_algebra(3), make_zn(9)),
+             (make_product(z2, z2), make_zn(250)))
+    for left, right in pairs:
+        r = make_product(left, right, cap=1024)
+        a, b = np.divmod(np.arange(r.size, dtype=np.int64), right.size)
+        for got, t1, t2 in ((r.add, left.add, right.add),
+                            (r.mul, left.mul, right.mul)):
+            want = (t1.astype(np.int64)[a[:, None], a] * right.size
+                    + t2[b[:, None], b])
+            assert got.dtype == np.int32
+            assert np.array_equal(got, want), r.text
 
 
 def test_product_crt_isomorphism():

@@ -4,8 +4,9 @@ On every default-corpus ring of at most 64 elements and on Hypothesis-
 drawn rings, every proper ideal must get the oracle's six witnesses
 and, when it is weakly 1-absorbing prime, the oracle's 1-triple zeros.
 The six conditions of tmm_characterize must all equal its w1ap verdict.
-Above the cubes' 64 elements, the 1-absorbing table must agree with the
-per-x plane search on rings of up to 256 elements.
+Above the cubes' 64 elements, the 2-absorbing scan and the 1-absorbing
+table must agree with the per-x plane searches on rings of up to 256
+elements.
 """
 
 import numpy as np
@@ -19,7 +20,9 @@ from idealis import (
     classify,
     find_one_triple_zeros,
     is_one_absorbing_prime,
+    is_two_absorbing,
     is_weakly_one_absorbing_prime,
+    is_weakly_two_absorbing,
     tmm_characterize,
 )
 from idealis.classify import _OneAbsorbingTable
@@ -28,6 +31,7 @@ from scan_oracle import (
     oracle_witnesses,
     plane_one_absorbing,
     plane_triple_zeros,
+    plane_two_absorbing,
 )
 from test_lattice_oracle import EXPRS, MAX_SIZE
 
@@ -69,6 +73,18 @@ LARGE_RINGS = (
     "Idealize(Z64, (4))",
     "Z720/(120)",
 )
+
+
+def test_two_absorbing_scan_matches_planes_on_large_rings():
+    ideals = 0
+    for text in LARGE_RINGS:
+        for p in all_ideals(build_ring_text(text)).proper:
+            where = (text, p.elements)
+            strict, weak = plane_two_absorbing(p)
+            assert is_two_absorbing(p).witness == strict, where
+            assert is_weakly_two_absorbing(p).witness == weak, where
+            ideals += 1
+    assert ideals == 207
 
 
 def test_one_absorbing_table_matches_planes_on_large_rings():
