@@ -345,19 +345,16 @@ def tmm_characterize(p: Ideal) -> dict[str, bool]:
                        | (col == ann).all(axis=1)).all())
 
     lat = all_ideals(ring)
-    k = len(lat)
-    kp = k - 1                               # proper ideals are the prefix
+    kp = len(lat) - 1                        # proper ideals are the prefix
     p_idx = lat.index(p)
     le_p = lat.le[:, p_idx]
 
-    # x*Q containment and nonvanishing for every lattice member Q; the
+    # x*Q containment and nonvanishing for every lattice member Q, by
+    # counting the q in Q with x*q outside P, and with x*q nonzero; the
     # set {x*i*j} lies in P iff x*(IJ) does, and is nonzero iff x*(IJ) is
-    xin = np.empty((ring.size, k), dtype=bool)
-    xnz = np.empty((ring.size, k), dtype=bool)
-    for qi in range(k):
-        b = mul[:, lat[qi].arr]
-        xin[:, qi] = mask[b].all(axis=1)
-        xnz[:, qi] = (b != zero).any(axis=1)
+    members = lat.masks.T.astype(np.float32)
+    xin = (~mask[mul]).astype(np.float32) @ members == 0
+    xnz = (mul != zero).astype(np.float32) @ members > 0
     viol4 = xin[ws, :kp] & xnz[ws, :kp] & ~le_p[None, :kp]
     out["iv"] = not viol4.any()
 

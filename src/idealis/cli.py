@@ -20,7 +20,7 @@ from . import __version__
 from .classify import VERDICT_KEYS, classify, witness_violates
 from .dsl import _Parser, build_ring_text, ideal_text, parse_ideal, parse_ring
 from .errors import CapExceeded, EngineError, LatticeCapExceeded, ParseError
-from .ideals import Ideal, all_ideals, ideal_product
+from .ideals import Ideal, all_ideals
 from .rings import DEFAULT_ELEMENT_CAP, FiniteRing, make_product, make_zn
 from .theorems import (
     TheoremCheck,
@@ -123,11 +123,10 @@ def _cmd_classify(args) -> int:
 def _maximal_annotation(lat, idx: int) -> str:
     if idx not in lat.maximal_indices:
         return ""
-    m = lat[idx]
-    m2 = ideal_product(m, m)
-    if m2.is_zero:
+    m2 = lat.product_table[idx, idx]          # index 0 is the zero ideal
+    if m2 == 0:
         return " m2=0"
-    if ideal_product(m2, m).is_zero:
+    if lat.product_table[m2, idx] == 0:
         return " m3=0"
     return ""
 

@@ -5,6 +5,10 @@ exactly when they live in the same ring and have the same element set
 (generators are presentation only). Every construction path validates
 closure under addition and ring multiplication, so an Ideal that exists
 really is an ideal.
+
+Radicals are read off the lattice: every prime ideal of a finite ring
+is maximal, so radical(I) = the intersection of the maximal ideals
+containing I, and the Jacobson radical is the radical of 0.
 """
 
 from __future__ import annotations
@@ -335,16 +339,13 @@ def annihilator_ideal(j: Ideal) -> Ideal:
 
 
 def radical(i: Ideal) -> Ideal:
-    """{a : a^k in I for some k}. Powers computed for all elements in
-    lockstep; n iterations cover every cycle."""
-    ring = i.ring
-    idx = np.arange(ring.size)
-    cur = idx.copy()
-    acc = i.mask.copy()
-    for _ in range(ring.size):
-        acc |= i.mask[cur]
-        cur = ring.mul[cur, idx]
-    return Ideal(ring, np.flatnonzero(acc).tolist())
+    """{a : a^k in I for some k}: the intersection of the maximal ideals
+    containing I, which is the largest ideal inside all of them. The
+    lattice's own member is returned, so its scan caches are shared."""
+    lat = all_ideals(i.ring)
+    above = lat.le[lat.index(i)]
+    over = [m for m in lat.maximal_indices if above[m]]
+    return lat[int(np.flatnonzero(lat.le[:, over].all(axis=1))[-1])]
 
 
 def maximal_ideals(ring: FiniteRing) -> list[Ideal]:
@@ -353,14 +354,11 @@ def maximal_ideals(ring: FiniteRing) -> list[Ideal]:
 
 
 def jacobson_radical(ring: FiniteRing) -> Ideal:
-    mask = np.ones(ring.size, dtype=bool)
-    for m in maximal_ideals(ring):
-        mask &= m.mask
-    return Ideal(ring, np.flatnonzero(mask).tolist())
+    return radical(all_ideals(ring)[0])
 
 
 def is_reduced(ring: FiniteRing) -> bool:
-    return radical(zero_ideal(ring)).is_zero
+    return jacobson_radical(ring).is_zero
 
 
 def is_quasi_local(ring: FiniteRing) -> bool:

@@ -214,11 +214,9 @@ def _verify_ring(r: FiniteRing) -> None:
         if not np.array_equal(mul[mul[g]], mul[g][mul]):
             y, z = np.argwhere(mul[mul[g]] != mul[g][mul])[0]
             raise ValueError(f"* not associative at ({g}, {y}, {z})")
-        # a*(g+x) == a*g + a*x for every a, x
-        lhs = mul[:, add[g]]
-        rhs = add[mul[:, g][:, None], mul]
-        if not np.array_equal(lhs, rhs):
-            a, x = np.argwhere(lhs != rhs)[0]
+        # a*(g+x) == a*g + a*x for every a, x; no n x n slice outlives it
+        if not np.array_equal(mul[:, add[g]], add[mul[:, g][:, None], mul]):
+            a, x = np.argwhere(mul[:, add[g]] != add[mul[:, g][:, None], mul])[0]
             raise ValueError(f"* not distributive at ({a}, {g}, {x})")
 
     if n <= _LITERAL_SCAN_MAX:
@@ -422,14 +420,15 @@ def make_idealization(r: FiniteRing, j: "Ideal", cap: int | None = None) -> Fini
     k = len(mreps)
     n = r.size * k
     _check_cap(n, cap)
+    to_m = to_m.astype(np.int32)
     madd = to_m[r.add[np.ix_(mreps, mreps)]]
     act = to_m[r.mul[:, mreps]]                        # act[a, m] = rank(a*m)
 
-    add = (r.add.astype(np.int64)[:, None, :, None] * k
-           + madd[None, :, None, :]).reshape(n, n)
-    first = r.mul.astype(np.int64)[:, None, :, None] * k
-    second = madd[act[:, None, None, :], act.T[None, :, :, None]]
-    mul = (first + second).reshape(n, n)
+    # every entry is below n, so the int32 tables build it exactly
+    add = (r.add[:, None, :, None] * k + madd[None, :, None, :]).reshape(n, n)
+    mul = madd[act[:, None, None, :], act.T[None, :, :, None]]
+    mul += r.mul[:, None, :, None] * k
+    mul = mul.reshape(n, n)
 
     m_zero = int(to_m[r.zero])
     zero = r.zero * k + m_zero
@@ -454,14 +453,14 @@ def make_local_algebra(p: int, cap: int | None = None) -> FiniteRing:
         raise NotPrime(f"{p} is not prime")
     n = p ** 3
     _check_cap(n, cap)
-    idx = np.arange(n, dtype=np.int64)
-    a, b, c = idx // p ** 2, (idx // p) % p, idx % p
-    add = (((a[:, None] + a) % p) * p ** 2
-           + ((b[:, None] + b) % p) * p
-           + (c[:, None] + c) % p)
-    mul = ((a[:, None] * a) % p * p ** 2
-           + (a[:, None] * b + b[:, None] * a) % p * p
-           + (a[:, None] * c + c[:, None] * a) % p)
+    # digits a, b, c of the row element on axes 0-2, a2, b2, c2 of the
+    # column on axes 3-5: only the final int32 sum of each table is n x n
+    x = np.arange(p, dtype=np.int32)
+    a, b, c, a2, b2, c2 = np.ix_(x, x, x, x, x, x)
+    add = ((a + a2) % p * p ** 2 + (b + b2) % p * p
+           + (c + c2) % p).reshape(n, n)
+    mul = ((a * a2) % p * p ** 2 + (a * b2 + b * a2) % p * p
+           + (a * c2 + c * a2) % p).reshape(n, n)
     return FiniteRing(add, mul, 0, p ** 2, ex.LocalAlg(p), cap=cap)
 
 

@@ -33,8 +33,6 @@ from .ideals import (
     all_ideals,
     annihilator,
     annihilator_ideal,
-    ideal_gen,
-    ideal_product,
     image_ideal,
     is_field,
     is_quasi_local,
@@ -113,10 +111,12 @@ def all_proper_w1ap(ring: FiniteRing) -> bool:
 
 
 def _power_is_zero(p: Ideal, k: int) -> bool:
-    acc = p
+    """P^k = 0, read from the product table (index 0 is the zero ideal)."""
+    lat = all_ideals(p.ring)
+    i = acc = lat.index(p)
     for _ in range(k - 1):
-        acc = ideal_product(acc, p)
-    return acc.is_zero
+        acc = lat.product_table[acc, i]
+    return acc == 0
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +295,7 @@ def check_localization_transfer(rings: list[FiniteRing]) -> TheoremCheck:
             for p in all_ideals(r).proper:
                 if p.mask[s_arr].any():
                     continue              # P meets S: out of scope
-                extension = ideal_gen(rl, can.mapping[p.arr].tolist())
+                extension = image_ideal(can, p)
                 if _w1ap(p):
                     tested += 1
                     if not _w1ap(extension):
@@ -365,7 +365,9 @@ def check_triple_zero_annihilation(rings: list[FiniteRing]) -> TheoremCheck:
     failures: list[dict] = []
     for r in rings:
         mul, zero = r.mul, r.zero
-        for p in all_ideals(r).proper:
+        lat = all_ideals(r)
+        pt = lat.product_table
+        for pi, p in enumerate(lat.proper):
             if not _w1ap(p):
                 continue
             t = _OneAbsorbingTable.build(r, p.mask)
@@ -383,15 +385,15 @@ def check_triple_zero_annihilation(rings: list[FiniteRing]) -> TheoremCheck:
             sel = ~p.mask[mul[xs, zs]] & ~p.mask[mul[ys, zs]]
             if not sel.any():
                 continue
-            p2 = ideal_product(p, p)
+            p2 = pt[pi, pi]
             ok = True
             for vals in (mul[xs[sel], zs[sel]], mul[ys[sel], zs[sel]]):
                 if (mul[np.ix_(np.unique(vals), parr)] != zero).any():
                     ok = False
             members = np.unique(np.concatenate([xs[sel], ys[sel], zs[sel]]))
-            if (mul[np.ix_(members, p2.arr)] != zero).any():
+            if (mul[np.ix_(members, lat[p2].arr)] != zero).any():
                 ok = False
-            if not ideal_product(p2, p).is_zero:
+            if pt[p2, pi] != 0:
                 ok = False
             if not ok:
                 _fail(failures, r, p,
@@ -543,8 +545,10 @@ def check_jacobson_dichotomy(rings: list[FiniteRing]) -> TheoremCheck:
             vacuous += 1
             continue
         tested += 1
+        lat = all_ideals(r)
         jac = jacobson_radical(r)
-        jac2 = ideal_product(jac, jac)
+        ji = lat.index(jac)
+        jac2 = lat[lat.product_table[ji, ji]]
         if jac2.is_zero:
             continue
         prods = r.mul[np.ix_(jac.arr, jac.arr)]

@@ -3,15 +3,17 @@
 Each function follows the definition as directly as it can: the lattice
 closes the principal ideals under pairwise sums with np.unique,
 containment compares every pair of masks elementwise, covers test every
-pair for an ideal strictly between, and products are computed pairwise
-with ideal_product. IdealLattice must agree with all of it.
+pair for an ideal strictly between, products are computed pairwise
+with ideal_product, and the radical steps every element through its
+powers. IdealLattice and the lattice-read radical must agree with all
+of it.
 """
 
 from typing import NamedTuple
 
 import numpy as np
 
-from idealis import FiniteRing, ideal_gen, ideal_product, reduced_generators
+from idealis import FiniteRing, Ideal, ideal_gen, ideal_product, reduced_generators
 
 
 class OracleLattice(NamedTuple):
@@ -64,3 +66,16 @@ def oracle_lattice(ring: FiniteRing) -> OracleLattice:
             table[i, j] = table[j, i] = index_of[p.elements]
     generators = [reduced_generators(ring, els) for els in elements]
     return OracleLattice(elements, generators, le, covers, maximal, table)
+
+
+def oracle_radical(i: Ideal) -> tuple[int, ...]:
+    """{a : a^k in I for some k}, by the definition. Powers are computed
+    for all elements in lockstep; n steps cover every cycle."""
+    ring = i.ring
+    idx = np.arange(ring.size)
+    cur = idx.copy()
+    acc = i.mask.copy()
+    for _ in range(ring.size):
+        acc |= i.mask[cur]
+        cur = ring.mul[cur, idx]
+    return tuple(np.flatnonzero(acc).tolist())

@@ -9,6 +9,7 @@ import random
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 from idealis import (
     CapExceeded,
@@ -347,5 +348,8 @@ def test_criterion_10_default_verify():
     for name, outcome, tested, vacuous in rows:
         assert outcome == "pass", (name, outcome)
         assert int(tested) >= 1, (name, tested)
+    # the whole table, tested/vacuous counts and detail lines included
+    golden = Path(__file__).parent / "golden" / "verify_default.txt"
+    assert proc.stdout == golden.read_text()
     print("criterion 10 PASS: verify --default exit 0, "
           "17 checks pass, all non-vacuous")

@@ -156,6 +156,9 @@ def test_lattice_dot_maximal_annotations(capsys):
     assert "m3=0" in out8 and "m2=0" not in out8
     _, out12, _ = run(capsys, "lattice", "Z12", "--dot")
     assert "m2=0" not in out12 and "m3=0" not in out12
+    # m = (2) in Z16 has m^3 = (8) but m^4 = 0
+    _, out16, _ = run(capsys, "lattice", "Z16", "--dot")
+    assert "m2=0" not in out16 and "m3=0" not in out16
 
 
 def test_lattice_json(capsys):

@@ -4,7 +4,9 @@ On the default corpus and on Hypothesis-drawn rings of at most 64
 elements, both must give the same ideals in the same order, the same
 generators, and the same containment matrix, covers, maximal ideals and
 product table. The spanning sets the product table reads must generate
-their ideals.
+their ideals. The radicals, the Jacobson radical, reducedness and the
+squares and cubes that the checks read from the lattice must match the
+power loop and repeated ideal_product.
 """
 
 import numpy as np
@@ -16,9 +18,14 @@ from idealis import (
     build_corpus,
     build_ring,
     ideal_gen,
+    ideal_product,
+    is_reduced,
+    jacobson_radical,
+    radical,
 )
 from idealis.expr import Idealize, LocalAlg, Localize, Product, Quotient, Zn
-from lattice_oracle import oracle_lattice
+from idealis.theorems import _power_is_zero
+from lattice_oracle import oracle_lattice, oracle_radical
 
 MAX_SIZE = 64
 
@@ -39,6 +46,30 @@ def assert_matches_oracle(ring):
 def test_default_corpus_matches_oracle():
     for ring in build_corpus():
         assert_matches_oracle(ring)
+
+
+def assert_arithmetic_matches_oracle(ring):
+    lat = all_ideals(ring)
+    pt = lat.product_table
+    for i, p in enumerate(lat.proper):
+        rad = radical(p)
+        assert rad is lat[lat.index(rad)], (ring.text, i)
+        assert rad.elements == oracle_radical(p), (ring.text, i)
+        square = ideal_product(p, p)
+        cube = ideal_product(square, p)
+        assert lat[pt[i, i]] == square, (ring.text, i)
+        assert lat[pt[pt[i, i], i]] == cube, (ring.text, i)
+        assert _power_is_zero(p, 2) == square.is_zero, (ring.text, i)
+        assert _power_is_zero(p, 3) == cube.is_zero, (ring.text, i)
+    nilradical = oracle_radical(lat[0])
+    assert jacobson_radical(ring).elements == nilradical, ring.text
+    assert is_reduced(ring) == (nilradical == (ring.zero,)), ring.text
+
+
+def test_default_corpus_arithmetic_matches_oracle():
+    for ring in build_corpus():
+        if ring.size <= MAX_SIZE:
+            assert_arithmetic_matches_oracle(ring)
 
 
 def _powers(x: int, n: int) -> set[int]:
@@ -120,3 +151,10 @@ EXPRS = _ring_expr()
 @given(EXPRS)
 def test_random_rings_match_oracle(expr):
     assert_matches_oracle(build_ring(expr, cap=MAX_SIZE))
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(EXPRS)
+def test_random_rings_arithmetic_matches_oracle(expr):
+    assert_arithmetic_matches_oracle(build_ring(expr, cap=MAX_SIZE))

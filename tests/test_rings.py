@@ -43,17 +43,83 @@ def test_zn_tables_are_modular_arithmetic():
         assert r.text == f"Z{n}"
 
 
+def _build_peak(build) -> int:
+    """tracemalloc peak, in bytes, of one call of build()."""
+    tracemalloc.start()
+    try:
+        build()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_zn_build_peak_memory():
     # the bound sits between an int32 build, near 17*n^2 bytes, and an
     # int64 build copied to int32, near 33*n^2
     n = 720
-    tracemalloc.start()
-    try:
-        make_zn(n, cap=n)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak = _build_peak(lambda: make_zn(n, cap=n))
     assert peak <= 20 * n * n, peak
+
+
+def test_idealization_build_peak_memory():
+    # int32 builds peak near 18*n^2 bytes, int64 ones near 50*n^2
+    base = make_zn(64)
+    j = ideal_gen(base, [4])
+    n = 64 * 4                           # Z64 (+) Z64/(4)
+    peak = _build_peak(lambda: make_idealization(base, j, cap=n))
+    assert peak <= 20 * n * n, peak
+
+
+def test_local_algebra_build_peak_memory():
+    # one n x n broadcast sum per table peaks near 17*n^2 bytes, int64
+    # digit arithmetic near 41*n^2
+    n = 7 ** 3
+    peak = _build_peak(lambda: make_local_algebra(7, cap=n))
+    assert peak <= 20 * n * n, peak
+
+
+def _idealization_formula(base, j):
+    """int64 tables of base (+) base/j, by (a, m)(b, m') = (ab, am' + bm)
+    on coset representatives; the coset rank orders cosets by their
+    least element."""
+    least = base.add[:, j.arr].min(axis=1)
+    reps, rank = np.unique(least, return_inverse=True)
+    k = len(reps)
+    a, m = np.divmod(np.arange(base.size * k, dtype=np.int64), k)
+    ar, mr, ac, mc = a[:, None], reps[m][:, None], a[None, :], reps[m][None, :]
+    add = base.add.astype(np.int64)[ar, ac] * k + rank[base.add[mr, mc]]
+    mul = (base.mul.astype(np.int64)[ar, ac] * k
+           + rank[base.add[base.mul[ar, mc], base.mul[ac, mr]]])
+    return add, mul
+
+
+def _local_algebra_formula(p):
+    """int64 tables of k[X, Y]/(X^2, XY, Y^2) on a*p^2 + b*p + c."""
+    idx = np.arange(p ** 3, dtype=np.int64)
+    a, b, c = idx // p ** 2, (idx // p) % p, idx % p
+    add = (((a[:, None] + a) % p) * p ** 2 + ((b[:, None] + b) % p) * p
+           + (c[:, None] + c) % p)
+    mul = ((a[:, None] * a) % p * p ** 2
+           + (a[:, None] * b + b[:, None] * a) % p * p
+           + (a[:, None] * c + c[:, None] * a) % p)
+    return add, mul
+
+
+def _idealize(base, g):
+    return make_idealization(base, ideal_gen(base, [g]), cap=1024)
+
+
+def test_idealization_and_local_algebra_tables_equal_the_int64_formula():
+    rings = [_idealize(make_zn(n), g)
+             for n, g in ((2, 0), (4, 2), (12, 4), (30, 6), (64, 4), (16, 0))]
+    rings.append(_idealize(make_local_algebra(2), 2))
+    cases = [(r, _idealization_formula(*r.idealization)) for r in rings]
+    cases += [(make_local_algebra(p), _local_algebra_formula(p))
+              for p in (2, 3, 5, 7)]
+    for r, (add, mul) in cases:
+        assert r.add.dtype == r.mul.dtype == np.int32
+        assert np.array_equal(r.add, add), r.text
+        assert np.array_equal(r.mul, mul), r.text
 
 
 def test_zn_units_match_gcd():
@@ -117,7 +183,9 @@ def test_product_tables_equal_the_int64_formula():
     z2 = make_zn(2)
     pairs = ((make_zn(12), make_zn(60)), (make_zn(4), make_zn(256)),
              (make_zn(97), z2), (make_local_algebra(3), make_zn(9)),
-             (make_product(z2, z2), make_zn(250)))
+             (make_product(z2, z2), make_zn(250)),
+             (_idealize(make_zn(64), 4), make_zn(3)),
+             (z2, make_local_algebra(7)))
     for left, right in pairs:
         r = make_product(left, right, cap=1024)
         a, b = np.divmod(np.arange(r.size, dtype=np.int64), right.size)
