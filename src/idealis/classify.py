@@ -29,8 +29,10 @@ row-major hit of the plane of its x.
 The 1-absorbing condition sees nonunits x, y only through w = x*y: its
 table has a row per such w outside P (w in P satisfies the
 disjunction), a column per nonunit z outside P and a hit where w*z is
-in P. The first pair with a hit gives the witness; the hits are the
-1-triple zeros.
+in P. The ring's nonunit_products gives each w its first row-major
+pair. The least pair with a hit is the least first pair over the hit
+rows, so it and the first hit of its row are the witness; the hits are
+the 1-triple zeros.
 """
 
 from __future__ import annotations
@@ -120,20 +122,16 @@ def _two_absorbing_planes(ring: FiniteRing, mask: np.ndarray):
         yield (x,), tail, tail, viol, plane
 
 
-def _pair_products(ring: FiniteRing, mask: np.ndarray):
-    """x*y over pairs of nonunits, and the sorted products outside P."""
-    xy = ring.mul[np.ix_(ring.nonunits, ring.nonunits)]
-    return xy, np.unique(xy[~mask[xy]])
-
-
 class _OneAbsorbingTable(NamedTuple):
     """The 1-absorbing candidates: nonunits nu, zs those outside P,
-    xy = nu*nu, ws the sorted xy outside P with row[w] the row of w
+    xy = nu*nu, ws the sorted xy outside P with first the row-major
+    index in xy of the first pair giving each and row[w] the row of w
     (len(ws) for w in P), and hits where prods = ws*zs lie in P."""
     nu: np.ndarray
     zs: np.ndarray
     ws: np.ndarray
     xy: np.ndarray
+    first: np.ndarray
     row: np.ndarray
     prods: np.ndarray
     hits: np.ndarray
@@ -141,38 +139,37 @@ class _OneAbsorbingTable(NamedTuple):
     @classmethod
     def build(cls, ring: FiniteRing, mask: np.ndarray):
         nu = ring.nonunits
-        xy, ws = _pair_products(ring, mask)
+        xy, ws, first = ring.nonunit_products
+        out = ~mask[ws]
+        ws, first = ws[out], first[out]
         zs = nu[~mask[nu]]
         # an n-long lookup; return_inverse would sort the pairs again
         row = np.full(ring.size, len(ws))
         row[ws] = np.arange(len(ws))
         prods = ring.mul[np.ix_(ws, zs)]
-        return cls(nu, zs, ws, xy, row, prods, mask[prods])
-
-    def pairs(self, viol: np.ndarray):
-        """Which (i, j) have a hit of viol in the row of nu[i]*nu[j]."""
-        return np.append(viol.any(axis=1), False)[self.row][self.xy]
+        return cls(nu, zs, ws, xy, first, row, prods, mask[prods])
 
     def first_violation(self, viol: np.ndarray):
-        pairs = self.pairs(viol)
-        i, j = divmod(int(np.argmax(pairs)), len(self.nu))
-        if not pairs[i, j]:
+        rows = np.flatnonzero(viol.any(axis=1))
+        if not len(rows):
             return None
-        z = self.zs[np.argmax(viol[self.row[self.xy[i, j]]])]
+        r = rows[np.argmin(self.first[rows])]
+        i, j = divmod(int(self.first[r]), len(self.nu))
+        z = self.zs[np.argmax(viol[r])]
         return int(self.nu[i]), int(self.nu[j]), int(z)
 
     def triple_zeros(self):
         """The 1-triple zeros as parallel x, y, z arrays in lex order:
         every pair with a hit, once per hit of its row. P must be weakly
         1-absorbing prime, so every hit has x*y*z = 0."""
-        i, j = np.nonzero(self.pairs(self.hits))
-        rows = self.row[self.xy[i, j]]
         per_row = self.hits.sum(axis=1)
+        i, j = np.nonzero(np.append(per_row > 0, False)[self.row][self.xy])
+        rows = self.row[self.xy[i, j]]
         _, hit_cols = np.nonzero(self.hits)     # row by row, z ascending
         counts = per_row[rows]
         # the k-th triple of a pair takes the k-th hit of the pair's row
-        first = (np.cumsum(per_row) - per_row)[rows]
-        at = np.repeat(first - np.cumsum(counts) + counts, counts)
+        start = (np.cumsum(per_row) - per_row)[rows]
+        at = np.repeat(start - np.cumsum(counts) + counts, counts)
         at += np.arange(len(at))
         return (np.repeat(self.nu[i], counts), np.repeat(self.nu[j], counts),
                 self.zs[hit_cols[at]])
@@ -337,9 +334,10 @@ def tmm_characterize(p: Ideal) -> dict[str, bool]:
     out = {"i": is_weakly_one_absorbing_prime(p).holds}
 
     # (P : w) and (0 : w) for every w = x*y outside P, one row each
-    _, ws = _pair_products(ring, mask)
-    col = mask[mul[ws]]
-    ann = mul[ws] == zero
+    ws = ring.nonunit_products[1]
+    ws = ws[~mask[ws]]
+    wz = mul[ws]
+    col, ann = mask[wz], wz == zero
     out["ii"] = bool((col == (mask | ann)).all())
     out["iii"] = bool(((col == mask).all(axis=1)
                        | (col == ann).all(axis=1)).all())
@@ -352,9 +350,8 @@ def tmm_characterize(p: Ideal) -> dict[str, bool]:
     # x*Q containment and nonvanishing for every lattice member Q, by
     # counting the q in Q with x*q outside P, and with x*q nonzero; the
     # set {x*i*j} lies in P iff x*(IJ) does, and is nonzero iff x*(IJ) is
-    members = lat.masks.T.astype(np.float32)
+    members, xnz = lat.member_products
     xin = (~mask[mul]).astype(np.float32) @ members == 0
-    xnz = (mul != zero).astype(np.float32) @ members > 0
     viol4 = xin[ws, :kp] & xnz[ws, :kp] & ~le_p[None, :kp]
     out["iv"] = not viol4.any()
 

@@ -381,6 +381,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if args.cap is not None and args.cap < 1:
+            raise ValueError(f"--cap must be a positive integer, got {args.cap}")
         return args.func(args)
     except ParseError as err:
         print(f"error: {err}", file=sys.stderr)

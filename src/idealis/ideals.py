@@ -161,7 +161,8 @@ class IdealLattice:
     The zero ideal is index 0 and the whole ring is the last index, so
     proper ideals are exactly the prefix [:-1]. `spanning[i]` is a short
     generating set of ideal i, recorded by the enumeration; it need not
-    be the presentation `ideals[i].generators`.
+    be the presentation `ideals[i].generators`. Cached: masks, le, covers,
+    member_products, maximal_indices, product_table.
     """
 
     def __init__(self, ring: FiniteRing, ideals: list[Ideal],
@@ -203,6 +204,12 @@ class IdealLattice:
         strict = self.le & ~np.eye(len(self.ideals), dtype=bool)
         s = strict.astype(np.float32)
         return [(int(i), int(j)) for i, j in np.argwhere(strict & (s @ s == 0))]
+
+    @cached_property
+    def member_products(self) -> tuple[np.ndarray, np.ndarray]:
+        """(masks.T as float32, xnz): xnz[x, q] iff x*y != 0 for some y in q."""
+        members = self.masks.T.astype(np.float32)
+        return members, (self.ring.mul != self.ring.zero).astype(np.float32) @ members > 0
 
     @cached_property
     def maximal_indices(self) -> list[int]:

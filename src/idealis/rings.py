@@ -31,6 +31,7 @@ ring in every run.
 from __future__ import annotations
 
 import os
+from functools import cached_property
 from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
@@ -56,8 +57,10 @@ _INT32_PRODUCTS = 46341         # largest n with (n-1)^2 < 2^31
 
 def element_cap() -> int:
     """Current element cap; the IDEALIS_CAP env var overrides the default."""
-    raw = os.environ.get("IDEALIS_CAP", "").strip()
-    return int(raw) if raw else DEFAULT_ELEMENT_CAP
+    raw = os.environ.get("IDEALIS_CAP", "").strip() or str(DEFAULT_ELEMENT_CAP)
+    if not raw.isdecimal() or int(raw) < 1:
+        raise ValueError(f"IDEALIS_CAP must be a positive integer, got {raw!r}")
+    return int(raw)
 
 
 def _check_cap(n: int, cap: int | None) -> None:
@@ -78,6 +81,9 @@ class FiniteRing:
         units: frozenset of unit indices.
         unit_mask: boolean array marking units.
         nonunits: sorted int array of nonunit indices (zero included).
+        nonunit_products (cached): (xy, ws, first): xy = mul on nonunit
+            pairs, ws its sorted distinct values, first[k] the row-major
+            index in xy of the first pair giving ws[k].
         provenance: the construction expression.
         factors: (left, right) for a direct product, else None; element
             (a, b) is stored at index a*right.size + b.
@@ -135,6 +141,14 @@ class FiniteRing:
         self.neg.setflags(write=False)
         self.unit_mask.setflags(write=False)
         self.nonunits.setflags(write=False)
+
+    @cached_property
+    def nonunit_products(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        xy = self.mul[np.ix_(self.nonunits, self.nonunits)]
+        ws, first = np.unique(xy, return_index=True)    # first occurrences
+        for a in (xy, ws, first):
+            a.setflags(write=False)
+        return xy, ws, first
 
     @property
     def text(self) -> str:

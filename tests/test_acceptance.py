@@ -5,6 +5,7 @@ prints one PASS/FAIL line per criterion. Runtime budgets are asserted
 with a wall clock inside the criterion that pins them.
 """
 
+import os
 import random
 import subprocess
 import sys
@@ -338,9 +339,13 @@ def test_criterion_09_dsl_round_trip():
 
 
 def test_criterion_10_default_verify():
+    # the child imports idealis from this checkout's src/, as pytest does
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "idealis.cli", "verify", "--default"],
-        capture_output=True, text=True, timeout=300)
+        capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr
     rows = [ln.split() for ln in proc.stdout.splitlines()
             if ln and not ln.startswith((" ", "corpus", "check"))]

@@ -7,6 +7,7 @@ the expected values below were derived by hand from the definitions.
 
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from idealis import (
@@ -24,6 +25,7 @@ from idealis import (
     is_weakly_prime,
     is_weakly_two_absorbing,
     all_ideals,
+    build_corpus,
     build_ring_text,
     make_local_algebra,
     make_product,
@@ -227,3 +229,37 @@ def test_one_absorbing_scan_memory_is_quadratic():
         finally:
             tracemalloc.stop()
         assert peak < 16 * n * n, (p.elements[:4], peak)
+
+
+def _index_rings():
+    rings = [r for r in build_corpus() if r.size <= 64]
+    return rings + [build_ring_text("Z4 x Z60"), build_ring_text("Idealize(Z64, (4))")]
+
+
+def test_nonunit_products_match_pair_loop():
+    # the sorted distinct x*y over pairs of nonunits, each with the
+    # row-major index of the first pair (x, y) that gives it
+    for ring in _index_rings():
+        nu = ring.nonunits.tolist()
+        first = {}
+        for i, x in enumerate(nu):
+            for j, y in enumerate(nu):
+                first.setdefault(int(ring.mul[x, y]), i * len(nu) + j)
+        xy, ws, got_first = ring.nonunit_products
+        assert xy.tolist() == [[int(ring.mul[x, y]) for y in nu] for x in nu], ring.text
+        assert ws.tolist() == sorted(first), ring.text
+        assert got_first.tolist() == [first[w] for w in sorted(first)], ring.text
+
+
+def test_member_products_match_member_loop():
+    # xnz[x, q]: some member y of ideal q has x*y != 0
+    for ring in _index_rings():
+        lat = all_ideals(ring)
+        members, xnz = lat.member_products
+        assert members.shape == xnz.shape == (ring.size, len(lat))
+        for k, q in enumerate(lat):
+            assert members[:, k].tolist() == q.mask.astype(np.float32).tolist()
+            nonzero = np.zeros(ring.size, dtype=bool)
+            for y in q.elements:
+                nonzero |= ring.mul[:, y] != ring.zero
+            assert xnz[:, k].tolist() == nonzero.tolist(), (ring.text, k)

@@ -119,6 +119,28 @@ def test_cap_env_and_flag_precedence(capsys, monkeypatch):
     assert rc == 0
 
 
+@pytest.mark.parametrize("value", ["abc", "-5", "0", "1.5"])
+def test_invalid_cap_env_exits_2(capsys, monkeypatch, value):
+    monkeypatch.setenv("IDEALIS_CAP", value)
+    rc, out, err = run(capsys, "classify", "Z12", "(4)")
+    assert rc == 2 and out == ""
+    assert "IDEALIS_CAP must be a positive integer" in err
+
+
+@pytest.mark.parametrize("value", ["-5", "0"])
+def test_nonpositive_cap_flag_exits_2(capsys, value):
+    rc, out, err = run(capsys, "classify", "Z12", "(4)", "--cap", value)
+    assert rc == 2 and out == ""
+    assert "--cap must be a positive integer" in err
+
+
+def test_non_integer_cap_flag_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "Z12", "(4)", "--cap", "abc"])
+    assert exc.value.code == 2
+    assert "--cap" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["classify", "lattice", "verify", "search"])
 def test_every_command_documents_cap(capsys, command):
     with pytest.raises(SystemExit):

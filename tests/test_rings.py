@@ -345,6 +345,10 @@ def test_cap_env_override(monkeypatch):
         make_zn(40)
     monkeypatch.setenv("IDEALIS_CAP", "50")
     assert make_zn(40).size == 40
+    for bad in ("abc", "-5", "0"):
+        monkeypatch.setenv("IDEALIS_CAP", bad)
+        with pytest.raises(ValueError, match="IDEALIS_CAP"):
+            make_zn(4)
 
 
 def test_homomorphism_rejects_non_structure_maps():
