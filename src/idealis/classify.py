@@ -200,7 +200,7 @@ _SCAN_FAMILIES = (
 
 
 def _scan_witness(p: Ideal, key: str) -> tuple | None:
-    cached = p._scan_witnesses
+    cached = p.ring._scans.setdefault(p.elements, {})
     if key not in cached:
         for (strict_key, weak_key), scan in _SCAN_FAMILIES:
             if key in (strict_key, weak_key):
@@ -250,8 +250,8 @@ class PropertyReport:
 def classify(p: Ideal) -> PropertyReport:
     """Full report over all six classes, with witnesses for every False
     verdict. The implication diagram between the verdicts is asserted.
-    The witnesses come from the ideal's scan cache, so a second call
-    rescans nothing."""
+    The witnesses come from the ring's scan memo, so a second call, or
+    one on an equal ideal of a ring with the same tables, rescans nothing."""
     _require_proper(p)
     wits = {k: _scan_witness(p, k) for k in VERDICT_KEYS}
     verdicts = {k: wits[k] is None for k in VERDICT_KEYS}

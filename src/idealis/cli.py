@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 
 from . import __version__
@@ -324,6 +325,8 @@ def _search_rings(size: int, cap: int | None):
 
 def _cmd_search(args) -> int:
     prop = parse_property(args.property)
+    if args.max_size < 1:
+        raise ValueError(f"--max-size must be a positive integer, got {args.max_size}")
     for size in range(2, args.max_size + 1):
         for ring in _search_rings(size, args.cap):
             for p in all_ideals(ring).proper:
@@ -383,7 +386,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.cap is not None and args.cap < 1:
             raise ValueError(f"--cap must be a positive integer, got {args.cap}")
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()          # a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:         # the reader stopped early: not an error
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except ParseError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -40,8 +40,6 @@ class Ideal:
         _check_ideal(ring, self.elements)
         self.given_generators = (None if generators is None
                                  else tuple(int(g) for g in generators))
-        # filled by the classifiers: witness per verdict key
-        self._scan_witnesses: dict[str, tuple | None] = {}
 
     @cached_property
     def generators(self) -> tuple[int, ...]:
@@ -348,7 +346,7 @@ def annihilator_ideal(j: Ideal) -> Ideal:
 def radical(i: Ideal) -> Ideal:
     """{a : a^k in I for some k}: the intersection of the maximal ideals
     containing I, which is the largest ideal inside all of them. The
-    lattice's own member is returned, so its scan caches are shared."""
+    lattice's own member is returned."""
     lat = all_ideals(i.ring)
     above = lat.le[lat.index(i)]
     over = [m for m in lat.maximal_indices if above[m]]

@@ -24,13 +24,16 @@ additive generating set:
   the checked commutativity of *.
 
 Rings of size <= 64 additionally get the literal dense n^3 triple scans,
-so the reduction is cross-checked against brute force on every small
-ring in every run.
+so the reduction is cross-checked against brute force on every distinct
+small table in every run. A build with the exact tables of a live ring
+(compared in full, never by digest alone) shares that ring's proof.
 """
 
 from __future__ import annotations
 
 import os
+import weakref
+import zlib
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable
 
@@ -53,6 +56,8 @@ if TYPE_CHECKING:
 DEFAULT_ELEMENT_CAP = 1024
 _LITERAL_SCAN_MAX = 64
 _INT32_PRODUCTS = 46341         # largest n with (n-1)^2 < 2^31
+# live verified rings by (n, zero, one, crc32 of add then mul)
+_VERIFIED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 def element_cap() -> int:
@@ -71,7 +76,9 @@ def _check_cap(n: int, cap: int | None) -> None:
 
 
 class FiniteRing:
-    """A verified finite commutative ring with identity.
+    """A verified finite commutative ring with identity. Each distinct
+    table is verified in full (literal cubes too up to 64 elements); a build
+    with a live ring's exact tables shares its proof, unit data and _scans.
 
     Attributes:
         size: number of elements.
@@ -85,6 +92,7 @@ class FiniteRing:
             pairs, ws its sorted distinct values, first[k] the row-major
             index in xy of the first pair giving ws[k].
         provenance: the construction expression.
+        _scans: witnesses per verdict key, keyed by ideal elements.
         factors: (left, right) for a direct product, else None; element
             (a, b) is stored at index a*right.size + b.
         idealization: (base, j) for the trivial extension base (+) base/j,
@@ -123,6 +131,15 @@ class FiniteRing:
         self.idealization = idealization
         self._lattice: IdealLattice | None = None    # filled by all_ideals
 
+        key = (n, self.zero, self.one, zlib.crc32(mul, zlib.crc32(add)))
+        twin = _VERIFIED.get(key)
+        if (twin is not None and np.array_equal(twin.add, add)
+                and np.array_equal(twin.mul, mul)):
+            self.add, self.mul, self.neg = twin.add, twin.mul, twin.neg
+            self.unit_mask, self.units = twin.unit_mask, twin.units
+            self.nonunits, self._scans = twin.nonunits, twin._scans
+            return
+        self._scans: dict[tuple[int, ...], dict[str, tuple | None]] = {}
         _verify_ring(self)
 
         self.neg = (add == self.zero).argmax(axis=1).astype(np.int32)
@@ -141,6 +158,7 @@ class FiniteRing:
         self.neg.setflags(write=False)
         self.unit_mask.setflags(write=False)
         self.nonunits.setflags(write=False)
+        _VERIFIED[key] = self
 
     @cached_property
     def nonunit_products(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

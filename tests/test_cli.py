@@ -5,6 +5,10 @@ values and output is captured per call.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -241,6 +245,29 @@ def test_search_separating_example(capsys):
     assert rc == 0
     assert out.splitlines() == ["Z8\t(4)", "Z2 x Z4\t((1, 0))",
                                 "Z12\t(4)", "Z3 x Z4\t((1, 0))"]
+
+
+def test_closed_pipe_exits_0_quietly():
+    # as in `idealis search ... | head -2`: the reader leaves after two lines
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "idealis.cli", "search", "--property",
+         "w1ap AND NOT weaklyPrime", "--max-size", "200"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env={**os.environ, "PYTHONPATH": path})
+    lines = [proc.stdout.readline() for _ in range(2)]
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert lines == ["Z8\t(4)\n", "Z2 x Z4\t((1, 0))\n"]
+    assert proc.returncode == 0 and err == ""
+
+
+@pytest.mark.parametrize("value", ["-3", "0"])
+def test_nonpositive_max_size_exits_2(capsys, value):
+    rc, out, err = run(capsys, "search", "--property", "w1ap", "--max-size", value)
+    assert rc == 2 and out == ""
+    assert "--max-size must be a positive integer" in err
 
 
 def test_search_prime_small(capsys):

@@ -1,6 +1,7 @@
 """The README agrees with the code: every ring form of its expression
 table builds and prints back to itself, its element-literal example
-resolves, and its Python API example runs."""
+resolves, its Python API example runs, and its `verify` sample is the
+start of the golden output."""
 
 import re
 from pathlib import Path
@@ -12,7 +13,8 @@ from idealis import (
     zn_isomorphism,
 )
 
-README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+ROOT = Path(__file__).resolve().parents[1]
+README = (ROOT / "README.md").read_text(encoding="utf-8")
 
 
 def _table_forms() -> list[str]:
@@ -42,3 +44,12 @@ def test_python_example_runs(capsys):
     exec(compile(block, "README.md", "exec"), namespace)
     assert len(capsys.readouterr().out.splitlines()) == 5   # proper ideals of Z12
     assert zn_isomorphism(namespace["loc"]) is not None     # "isomorphic to Z4"
+
+
+def test_verify_sample_is_the_golden_output():
+    section = README.split("### verify", 1)[1].split("### search", 1)[0]
+    sample = re.findall(r"```\n(corpus: .*?)```", section, flags=re.DOTALL)[0]
+    *shown, elided = sample.splitlines()
+    golden = (ROOT / "tests" / "golden" / "verify_default.txt").read_text(encoding="utf-8")
+    assert elided == "..." and len(shown) > 2
+    assert shown == golden.splitlines()[:len(shown)]

@@ -5,8 +5,11 @@ computation: modular arithmetic for Z_n, gcd for units, CRT for
 products, coset arithmetic for quotients.
 """
 
+import gc
+import importlib
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,6 +22,8 @@ from idealis import (
     NotMultClosed,
     NotPrime,
     ZeroInS,
+    all_ideals,
+    classify,
     ideal_gen,
     make_idealization,
     make_local_algebra,
@@ -30,6 +35,8 @@ from idealis import (
     zn_isomorphism,
 )
 from idealis.expr import Zn
+
+rings = importlib.import_module("idealis.rings")
 
 
 def test_zn_tables_are_modular_arithmetic():
@@ -152,6 +159,63 @@ def test_corrupt_tables_rejected():
         FiniteRing(bad_add, mul, 0, 1, Zn(6))
     with pytest.raises(ValueError):
         FiniteRing(add, mul, 0, 0, Zn(6))
+
+
+def test_twin_tables_share_the_live_proof(monkeypatch):
+    z4 = make_zn(4)
+    gc.collect()                        # no Z12 of an earlier test is alive
+    verified = []
+    verify = rings._verify_ring
+    monkeypatch.setattr(rings, "_verify_ring",
+                        lambda r: verified.append(r.text) or verify(r))
+    z12 = make_zn(12)
+    rq, _ = make_quotient(z12, ideal_gen(z12, [4]))
+    assert verified == ["Z12"]          # Z12/(4) has exactly Z4's tables
+    assert rq.mul is z4.mul and rq.add is z4.add and rq.neg is z4.neg
+    assert rq.units is z4.units and rq._scans is z4._scans
+    # provenance and the lattice stay per ring
+    assert rq.text == "Z12/(4)" and z4.text == "Z4"
+    lat = all_ideals(rq)
+    assert lat is not all_ideals(z4)
+    assert all(p.ring is rq for p in lat)
+
+
+def _rejections(add, mul) -> list[str]:
+    """Messages of two builds of the same bad tables; the first build's
+    error stays alive while the second runs."""
+    errors = []
+    for _ in range(2):
+        with pytest.raises(ValueError) as err:
+            FiniteRing(add, mul, 0, 1, Zn(6))
+        errors.append(err)
+    return [str(e.value) for e in errors]
+
+
+def test_corrupt_copy_of_a_live_ring_is_rejected(monkeypatch):
+    add, bad_mul = np.array(make_zn(6).add), np.array(make_zn(6).mul)
+    bad_mul[2, 3] = bad_mul[3, 2] = 1
+    gc.collect()
+    alone = _rejections(add, bad_mul)
+    z6 = make_zn(6)
+    alive = _rejections(add, bad_mul)
+    # every digest collides: only the full table comparison tells them apart
+    monkeypatch.setattr(rings, "zlib", SimpleNamespace(crc32=lambda data, value=0: 0))
+    twin = make_zn(6)
+    colliding = _rejections(add, bad_mul)
+    assert make_zn(6).mul is twin.mul is not z6.mul
+    assert alive == colliding == alone == [alone[0]] * 2
+    assert "not distributive" in alone[0]
+
+
+def test_registry_empties_when_its_rings_die():
+    r = make_zn(30)
+    rq, proj = make_quotient(r, ideal_gen(r, [6]))
+    for p in all_ideals(rq).proper:
+        classify(p)
+    assert len(rings._VERIFIED) > 0
+    del r, rq, proj, p
+    gc.collect()
+    assert len(rings._VERIFIED) == 0
 
 
 def test_nonassociative_table_rejected():

@@ -6,13 +6,17 @@ and, when it is weakly 1-absorbing prime, the oracle's 1-triple zeros.
 The six conditions of tmm_characterize must all equal its w1ap verdict.
 Above the cubes' 64 elements, the 2-absorbing scan and the 1-absorbing
 table must agree with the per-x plane searches on rings of up to 256
-elements.
+elements. Quotients that share a live ring's tables, and equal ideals
+built outside the lattice, read the witnesses of one shared scan.
 """
+
+import importlib
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 
 from idealis import (
+    Ideal,
     all_ideals,
     build_corpus,
     build_ring,
@@ -23,6 +27,7 @@ from idealis import (
     is_two_absorbing,
     is_weakly_one_absorbing_prime,
     is_weakly_two_absorbing,
+    make_quotient,
     tmm_characterize,
 )
 from idealis.classify import _OneAbsorbingTable
@@ -59,6 +64,36 @@ def test_default_corpus_matches_scan_oracle():
 @given(EXPRS)
 def test_random_rings_match_scan_oracle(expr):
     assert_scans_match_oracle(build_ring(expr, cap=MAX_SIZE))
+
+
+def test_quotient_twins_match_scan_oracle():
+    """Most quotients of the small corpus rings have the exact tables of
+    a live corpus ring, so their witnesses come from its scan memo."""
+    corpus = [r for r in build_corpus() if r.size <= 36]
+    memos = {id(r._scans) for r in corpus}
+    quotients = shared = 0
+    for ring in corpus:
+        for q in all_ideals(ring).proper:
+            rq, _ = make_quotient(ring, q)
+            quotients += 1
+            shared += id(rq._scans) in memos
+            for p in all_ideals(rq).proper:
+                assert classify(p).witnesses == oracle_witnesses(p), (rq.text, p.elements)
+    assert shared > quotients // 2, (shared, quotients)
+
+
+def test_equal_ideal_reuses_the_scan(monkeypatch):
+    ring = build_ring_text("Z4 x Z6")
+    witnesses = {p.elements: classify(p).witnesses for p in all_ideals(ring).proper}
+
+    def no_scan(*_):
+        raise AssertionError("an equal ideal was scanned again")
+    scans = importlib.import_module("idealis.classify")
+    monkeypatch.setattr(scans, "_SCAN_FAMILIES",
+                        tuple((keys, no_scan) for keys, _ in scans._SCAN_FAMILIES))
+    for r in (ring, build_ring_text("Z4 x Z6")):       # the ring and its twin
+        for elements, wits in witnesses.items():
+            assert classify(Ideal(r, elements)).witnesses == wits
 
 
 # Rings of 120 to 256 elements, one of every family: the rings the

@@ -220,6 +220,7 @@ def _corrupt_unit_scan(r, fake_nonunit):
     r.unit_mask = um
     r.units = frozenset(int(u) for u in np.flatnonzero(um))
     r.nonunits = np.flatnonzero(~um).astype(np.int32)
+    r._scans = {}       # the scan memo belongs to the tables it was proved on
     return r
 
 
