@@ -19,12 +19,26 @@ plane and 2-absorbing one (y, z) plane per x; _least_violations reads
 them row-major, so its first hit is the least violation. A weak
 violation is a strict one, so one pass finds both witnesses.
 
-The 2-absorbing planes draw x, y and z from c, the sorted nonunits
-outside P, with y and z from x on. No violation uses a unit, for a
-unit x puts y*z = x^-1*(x*y*z) in P, nor a member of P, for such an x
-puts x*y in P. The violation is symmetric in x, y and z, so sorting one gives one that
-is lex-smaller or equal: the least has x <= y <= z, and it is the first
-row-major hit of the plane of its x.
+The 2-absorbing planes draw x, y and z from sorted candidates, with y
+and z from x on. No violation uses a unit, for a unit x puts
+y*z = x^-1*(x*y*z) in P, nor a member of P, for such an x puts x*y in
+P. The violation is symmetric in x, y and z, so sorting one gives one
+that is lex-smaller or equal: the least has x <= y <= z, and it is the
+first row-major hit of the plane of its x.
+
+The strict condition sees x, y and z only through their cosets mod P:
+whether x*y*z, x*y, x*z and y*z lie in P does not change when p in P is
+added to x. Replacing each coordinate of a violation by the least
+member of its coset and sorting gives a violation that is lex-smaller
+or equal, so the strict search runs over the representatives only: the
+nonunits outside P that are the least member of x + P. A coset with a
+violation holds no unit, so its least member is such a nonunit. The
+weak condition x*y*z != 0 does not pass to cosets, but a weak violation
+is a strict one, so each of its cosets holds a coordinate of a strict
+violation among the representatives. The strict search marks those
+cosets, and the weak search runs over all their members. It is skipped
+when there is no strict violation, and for P = 0, where 0 != x*y*z in P
+cannot hold.
 
 The 1-absorbing condition sees nonunits x, y only through w = x*y: its
 table has a row per such w outside P (w in P satisfies the
@@ -44,7 +58,7 @@ import numpy as np
 
 from .errors import ImproperIdeal, NotW1AP
 from .ideals import Ideal, all_ideals
-from .rings import FiniteRing
+from .rings import FiniteRing, coset_least
 
 
 class Verdict(NamedTuple):
@@ -109,9 +123,9 @@ def _prime_planes(ring: FiniteRing, mask: np.ndarray):
     yield (), every, every, viol, ring.mul
 
 
-def _two_absorbing_planes(ring: FiniteRing, mask: np.ndarray):
+def _two_absorbing_planes(ring: FiniteRing, mask: np.ndarray, c: np.ndarray):
+    """One (y, z) plane per x in the sorted candidates c, y and z from x on."""
     mul = ring.mul
-    c = ring.nonunits[~mask[ring.nonunits]]
     cc = mul[np.ix_(c, c)]             # x*y over c x c
     cc_in = mask[cc]
     for a, x in enumerate(c.tolist()):
@@ -180,7 +194,21 @@ def _scan_prime(ring: FiniteRing, mask: np.ndarray):
 
 
 def _scan_two_absorbing(ring: FiniteRing, mask: np.ndarray):
-    return _least_violations(_two_absorbing_planes(ring, mask), ring.zero)
+    least = coset_least(ring, np.flatnonzero(mask))
+    c = ring.nonunits[~mask[ring.nonunits]]
+    strict, seen = None, np.zeros(ring.size, dtype=bool)
+    for (x,), ys, _, viol, _ in _two_absorbing_planes(ring, mask, c[least[c] == c]):
+        rows = viol.any(axis=1)        # viol is symmetric: rows are columns
+        if rows.any():
+            if strict is None:
+                i = int(rows.argmax())
+                strict = (x, int(ys[i]), int(ys[viol[i].argmax()]))
+            seen[x] = True
+            seen[ys[rows]] = True
+    if strict is None or np.count_nonzero(mask) == 1:      # no hit, or P = 0
+        return strict, None
+    planes = _two_absorbing_planes(ring, mask, c[seen[least[c]]])
+    return strict, _least_violations(planes, ring.zero)[1]
 
 
 def _scan_one_absorbing(ring: FiniteRing, mask: np.ndarray):

@@ -23,6 +23,12 @@ additive generating set:
   all first arguments by the same induction using distributivity and
   the checked commutativity of *.
 
+Each of these slices, and each table equation of a Homomorphism, is
+compared in blocks of whole rows of at most 65536 entries, so no full
+n x n temporary is made: a ring of at most 256 elements is one block,
+and a mismatch is reported at its first row-major position, as a
+comparison of the whole tables would.
+
 Rings of size <= 64 additionally get the literal dense n^3 triple scans,
 so the reduction is cross-checked against brute force on every distinct
 small table in every run. A build with the exact tables of a live ring
@@ -56,6 +62,7 @@ if TYPE_CHECKING:
 DEFAULT_ELEMENT_CAP = 1024
 _LITERAL_SCAN_MAX = 64
 _INT32_PRODUCTS = 46341         # largest n with (n-1)^2 < 2^31
+_BLOCK_ENTRIES = 1 << 16        # entries per compared block of table rows
 # live verified rings by (n, zero, one, crc32 of add then mul)
 _VERIFIED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
@@ -239,20 +246,40 @@ def _verify_ring(r: FiniteRing) -> None:
     gens = additive_generators(add, r.zero)
     for g in gens:
         # Light's test slice for +: (x+g)+y == x+(g+y)
-        if not np.array_equal(add[add[:, g]], add[:, add[g]]):
-            x, y = np.argwhere(add[add[:, g]] != add[:, add[g]])[0]
+        bad = _first_mismatch(n, lambda rows: add[add[rows, g]],
+                              lambda rows: add[rows][:, add[g]])
+        if bad:
+            x, y = bad
             raise ValueError(f"+ not associative at ({x}, {g}, {y})")
         # (g*y)*z == g*(y*z); extends to all x by distributivity
-        if not np.array_equal(mul[mul[g]], mul[g][mul]):
-            y, z = np.argwhere(mul[mul[g]] != mul[g][mul])[0]
+        bad = _first_mismatch(n, lambda rows: mul[mul[g, rows]],
+                              lambda rows: mul[g][mul[rows]])
+        if bad:
+            y, z = bad
             raise ValueError(f"* not associative at ({g}, {y}, {z})")
-        # a*(g+x) == a*g + a*x for every a, x; no n x n slice outlives it
-        if not np.array_equal(mul[:, add[g]], add[mul[:, g][:, None], mul]):
-            a, x = np.argwhere(mul[:, add[g]] != add[mul[:, g][:, None], mul])[0]
+        # a*(g+x) == a*g + a*x for every a, x
+        bad = _first_mismatch(n, lambda rows: mul[rows][:, add[g]],
+                              lambda rows: add[mul[rows, g][:, None], mul[rows]])
+        if bad:
+            a, x = bad
             raise ValueError(f"* not distributive at ({a}, {g}, {x})")
 
     if n <= _LITERAL_SCAN_MAX:
         _verify_triples_literal(add, mul)
+
+
+def _first_mismatch(n: int, lhs, rhs) -> tuple[int, int] | None:
+    """First row-major (row, column) where the n x n tables lhs and rhs
+    differ, or None. lhs(rows) and rhs(rows) build one slice of rows at a
+    time, of at most _BLOCK_ENTRIES entries."""
+    step = max(1, _BLOCK_ENTRIES // n)
+    for start in range(0, n, step):
+        rows = slice(start, start + step)
+        a, b = lhs(rows), rhs(rows)
+        if not np.array_equal(a, b):
+            i, j = np.argwhere(a != b)[0]
+            return start + int(i), int(j)
+    return None
 
 
 def _verify_triples_literal(add: np.ndarray, mul: np.ndarray) -> None:
@@ -287,12 +314,14 @@ class Homomorphism:
             raise ValueError("homomorphism must send 1 to 1")
         if int(f[source.zero]) != target.zero:
             raise ValueError("homomorphism must send 0 to 0")
-        if not np.array_equal(f[source.add], target.add[np.ix_(f, f)]):
-            a, b = np.argwhere(f[source.add] != target.add[np.ix_(f, f)])[0]
-            raise ValueError(f"f(a+b) != f(a)+f(b) at ({a}, {b})")
-        if not np.array_equal(f[source.mul], target.mul[np.ix_(f, f)]):
-            a, b = np.argwhere(f[source.mul] != target.mul[np.ix_(f, f)])[0]
-            raise ValueError(f"f(a*b) != f(a)*f(b) at ({a}, {b})")
+        n = source.size
+        for op, src, dst in (("+", source.add, target.add),
+                             ("*", source.mul, target.mul)):
+            bad = _first_mismatch(n, lambda rows: f[src[rows]],
+                                  lambda rows: dst[np.ix_(f[rows], f)])
+            if bad:
+                a, b = bad
+                raise ValueError(f"f(a{op}b) != f(a){op}f(b) at ({a}, {b})")
         self.source = source
         self.target = target
         self.mapping = f
@@ -352,11 +381,16 @@ def make_product(r1: FiniteRing, r2: FiniteRing, cap: int | None = None) -> Fini
     return FiniteRing(add, mul, zero, one, prov, cap=cap, factors=(r1, r2))
 
 
+def coset_least(r: FiniteRing, members: np.ndarray) -> np.ndarray:
+    """The least element of x + members for every element x, where
+    members is an additive subgroup."""
+    return r.add[:, members].min(axis=1)
+
+
 def _cosets(r: FiniteRing, members: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Cosets of the additive subgroup `members`: the least element of each
     coset in ascending order, and the coset number of every element."""
-    least = r.add[:, members].min(axis=1)
-    return np.unique(least, return_inverse=True)
+    return np.unique(coset_least(r, members), return_inverse=True)
 
 
 def _quotient_ring(r: FiniteRing, reps: np.ndarray, proj: np.ndarray,

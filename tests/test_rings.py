@@ -61,11 +61,22 @@ def _build_peak(build) -> int:
 
 
 def test_zn_build_peak_memory():
-    # the bound sits between an int32 build, near 17*n^2 bytes, and an
-    # int64 build copied to int32, near 33*n^2
+    # the two int32 tables take 8*n^2 bytes and verification's boolean
+    # temporaries about 2*n^2 more; comparing whole n x n slices instead
+    # of blocks of rows peaks near 17*n^2
     n = 720
     peak = _build_peak(lambda: make_zn(n, cap=n))
-    assert peak <= 20 * n * n, peak
+    assert peak <= 12 * n * n, peak
+
+
+def test_projection_check_peak_memory():
+    # the projection from Z720 is checked in blocks of rows, near 2.5*n^2
+    # bytes; whole n x n images of the tables peak near 9*n^2
+    n = 720
+    r = make_zn(n)
+    q = ideal_gen(r, [120])
+    peak = _build_peak(lambda: make_quotient(r, q))
+    assert peak <= 4 * n * n, peak
 
 
 def test_idealization_build_peak_memory():
@@ -159,6 +170,49 @@ def test_corrupt_tables_rejected():
         FiniteRing(bad_add, mul, 0, 1, Zn(6))
     with pytest.raises(ValueError):
         FiniteRing(add, mul, 0, 0, Zn(6))
+
+
+def _z720_with_bad_product():
+    """Z720's tables with x*y damaged at (100, 200) and (200, 100), past
+    the first block of rows that verification compares."""
+    n = 720
+    r = make_zn(n)
+    mul = np.array(r.mul)
+    assert mul[100, 200] != 7 and rings._BLOCK_ENTRIES // n <= 100
+    mul[100, 200] = mul[200, 100] = 7
+    return r, mul
+
+
+def test_fault_in_a_later_block_is_reported_at_its_first_position():
+    r, mul = _z720_with_bad_product()
+    add = np.array(r.add)
+    assert rings.additive_generators(add, 0) == [1]
+    lhs, rhs = mul[:, add[1]], add[mul[:, 1][:, None], mul]
+    a, x = np.argwhere(lhs != rhs)[0]       # the whole-table first mismatch
+    assert a >= 91
+    with pytest.raises(ValueError) as err:
+        FiniteRing(add, mul, 0, 1, Zn(720), cap=720)
+    assert str(err.value) == f"* not distributive at ({a}, 1, {x})"
+
+
+def test_map_fault_in_a_later_block_is_reported_at_its_first_position():
+    r, mul = _z720_with_bad_product()
+    rq, proj = make_quotient(r, ideal_gen(r, [120]))
+    f, n = proj.mapping, r.size
+    # a source whose product was damaged after verification
+    damaged = SimpleNamespace(size=n, zero=0, one=1, add=r.add, mul=mul)
+    a, b = np.argwhere(f[mul] != rq.mul[np.ix_(f, f)])[0]
+    assert a >= 91
+    with pytest.raises(ValueError) as err:
+        Homomorphism(damaged, rq, f)
+    assert str(err.value) == f"f(a*b) != f(a)*f(b) at ({a}, {b})"
+    # a damaged image first breaks f(a+b) at the row-major first pair
+    bad = np.array(f)
+    bad[500] = (bad[500] + 1) % rq.size
+    a, b = np.argwhere(bad[r.add] != rq.add[np.ix_(bad, bad)])[0]
+    with pytest.raises(ValueError) as err:
+        Homomorphism(r, rq, bad)
+    assert str(err.value) == f"f(a+b) != f(a)+f(b) at ({a}, {b})"
 
 
 def test_twin_tables_share_the_live_proof(monkeypatch):

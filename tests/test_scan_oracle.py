@@ -6,7 +6,8 @@ and, when it is weakly 1-absorbing prime, the oracle's 1-triple zeros.
 The six conditions of tmm_characterize must all equal its w1ap verdict.
 Above the cubes' 64 elements, the 2-absorbing scan and the 1-absorbing
 table must agree with the per-x plane searches on rings of up to 256
-elements. Quotients that share a live ring's tables, and equal ideals
+elements, and so must the weak 2-absorbing search on the corpus ideals
+it finds hardest. Quotients that share a live ring's tables, and equal ideals
 built outside the lattice, read the witnesses of one shared scan.
 """
 
@@ -31,6 +32,7 @@ from idealis import (
     tmm_characterize,
 )
 from idealis.classify import _OneAbsorbingTable
+from idealis.rings import coset_least
 from scan_oracle import (
     oracle_triple_zeros,
     oracle_witnesses,
@@ -120,6 +122,30 @@ def test_two_absorbing_scan_matches_planes_on_large_rings():
             assert is_weakly_two_absorbing(p).witness == weak, where
             ideals += 1
     assert ideals == 207
+
+
+def test_weak_two_absorbing_search_on_its_hard_cases():
+    """The weak 2-absorbing search runs over every member of the cosets
+    of P that occur in strict violations. Two kinds of ideal need it: a
+    nonzero P with strict violations but no weak one, where it runs and
+    finds nothing, and a P whose weak witness uses a member that is not
+    the least of its coset, which a search over the least members misses."""
+    empty, not_least = [], []
+    for ring in build_corpus():
+        for p in all_ideals(ring).proper:
+            strict, weak = plane_two_absorbing(p)
+            where = (ring.text, p.elements)
+            if strict is not None and weak is None and not p.is_zero:
+                empty.append(where)
+            elif weak is not None and (coset_least(ring, p.arr)[list(weak)] != weak).any():
+                not_least.append((ring.text, strict, weak))
+            else:
+                continue
+            assert is_two_absorbing(p).witness == strict, where
+            assert is_weakly_two_absorbing(p).witness == weak, where
+    assert len(empty) == 7 and empty[0][0] == "Idealize(Z8, (2))"
+    assert len(not_least) == 139
+    assert ("Z2 x Z8", (2, 2, 2), (10, 10, 10)) in not_least
 
 
 def test_one_absorbing_table_matches_planes_on_large_rings():
