@@ -2,9 +2,9 @@
 
 An Ideal stores its full sorted element tuple; two ideals are equal
 exactly when they live in the same ring and have the same element set
-(generators are presentation only). Every construction path validates
-closure under addition and ring multiplication, so an Ideal that exists
-really is an ideal.
+(generators are presentation only). `Ideal(ring, elements)`, and so
+`ideal_gen` and `parse_ideal`, validate closure under both operations;
+every other construction builds an ideal by the proof in its docstring.
 
 Radicals are read off the lattice: every prime ideal of a finite ring
 is maximal, so radical(I) = the intersection of the maximal ideals
@@ -25,7 +25,7 @@ LATTICE_CAP = 100000
 
 
 class Ideal:
-    """An ideal, validated on construction.
+    """An ideal. `Ideal(ring, elements)` validates; `Ideal._trusted` does not.
 
     `given_generators` holds the generators a caller passed, or None.
     `generators` is lazy: without given generators it is
@@ -40,6 +40,15 @@ class Ideal:
         _check_ideal(ring, self.elements)
         self.given_generators = (None if generators is None
                                  else tuple(int(g) for g in generators))
+
+    @classmethod
+    def _trusted(cls, ring: FiniteRing, arr: np.ndarray,
+                 generators: tuple[int, ...] | None = None) -> Ideal:
+        """Unchecked: arr is sorted and unique, and the caller proves it an ideal."""
+        ideal = cls.__new__(cls)
+        ideal.ring, ideal.elements = ring, tuple(arr.tolist())
+        ideal.given_generators = generators
+        return ideal
 
     @cached_property
     def generators(self) -> tuple[int, ...]:
@@ -142,11 +151,13 @@ def reduced_generators(ring: FiniteRing, elements: Sequence[int]) -> tuple[int, 
 
 
 def zero_ideal(ring: FiniteRing) -> Ideal:
-    return Ideal(ring, [ring.zero], generators=[ring.zero])
+    """{0}: a + b = 0 and r*0 = 0 for a, b in it."""
+    return Ideal._trusted(ring, np.array([ring.zero]), (ring.zero,))
 
 
 def unit_ideal(ring: FiniteRing) -> Ideal:
-    return Ideal(ring, range(ring.size), generators=[ring.one])
+    """The whole ring, which is closed under both operations."""
+    return Ideal._trusted(ring, np.arange(ring.size), (ring.one,))
 
 
 # ---------------------------------------------------------------------------
@@ -250,10 +261,9 @@ def all_ideals(ring: FiniteRing, cap: int = LATTICE_CAP) -> IdealLattice:
     boolean mask, deduplicated by its bytes. Every ideal is a finite sum
     of principal ideals, and each (a) is additively closed, so closing
     that set under "+ (a)" alone, skipping every (a) an ideal already
-    contains, finds them all. Each result is validated as an Ideal, so
-    a corrupted table that breaks closure raises ValueError. The cap is
-    checked on the principal ideals and again as each ideal that is not
-    principal is found.
+    contains, finds them all; a sum of ideals is an ideal, so none is
+    checked again. The cap is checked on the principal ideals and again
+    as each ideal that is not principal is found.
     """
     if ring._lattice is not None:
         return ring._lattice
@@ -284,7 +294,7 @@ def all_ideals(ring: FiniteRing, cap: int = LATTICE_CAP) -> IdealLattice:
                 worklist.append(found[key])
     entries = sorted(found.values(),
                      key=lambda e: (int(e[0].sum()), (~e[0]).tobytes()))
-    ideals = [Ideal(ring, np.flatnonzero(m).tolist()) for m, _ in entries]
+    ideals = [Ideal._trusted(ring, np.flatnonzero(m)) for m, _ in entries]
     lattice = IdealLattice(ring, ideals, [g for _, g in entries])
     ring._lattice = lattice
     return lattice
@@ -301,38 +311,35 @@ def _same_ring(i: Ideal, j: Ideal) -> FiniteRing:
 
 
 def ideal_sum(i: Ideal, j: Ideal) -> Ideal:
+    """I + J: (a + b) + (a' + b') = (a + a') + (b + b'), r(a + b) = ra + rb."""
     ring = _same_ring(i, j)
-    els = np.unique(ring.add[np.ix_(i.arr, j.arr)])
-    return Ideal(ring, els.tolist())
+    return Ideal._trusted(ring, np.unique(ring.add[np.ix_(i.arr, j.arr)]))
 
 
 def ideal_product(i: Ideal, j: Ideal) -> Ideal:
-    """Ideal generated by all pairwise element products. The product set
-    is already closed under ring multiplication, so only the additive
-    span is needed."""
+    """Additive span of the products ab, a set closed under r(ab) = (ra)b."""
     ring = _same_ring(i, j)
     prods = set(ring.mul[np.ix_(i.arr, j.arr)].ravel().tolist())
-    els = _additive_span(ring, prods)
-    return Ideal(ring, els.tolist())
+    return Ideal._trusted(ring, _additive_span(ring, prods))
 
 
 def ideal_intersect(i: Ideal, j: Ideal) -> Ideal:
+    """I ∩ J: each of I and J is closed under both operations."""
     ring = _same_ring(i, j)
-    return Ideal(ring, sorted(set(i.elements) & set(j.elements)))
+    return Ideal._trusted(ring, np.flatnonzero(i.mask & j.mask))
 
 
 def colon(i: Ideal, x: int) -> Ideal:
-    """(I : x) = {a : a*x in I}."""
+    """(I : x) = {a : a*x in I}: (a + b)x = ax + bx and (ra)x = r(ax)."""
     ring = i.ring
-    els = np.flatnonzero(i.mask[ring.mul[:, x]])
-    return Ideal(ring, els.tolist())
+    return Ideal._trusted(ring, np.flatnonzero(i.mask[ring.mul[:, x]]))
 
 
 def colon_ideal(i: Ideal, j: Ideal) -> Ideal:
-    """(I : J) = {a : a*J is contained in I}."""
+    """(I : J) = {a : a*J in I}, the intersection of the (I : b) for b in J."""
     ring = _same_ring(i, j)
     ok = i.mask[ring.mul[:, j.arr]].all(axis=1)
-    return Ideal(ring, np.flatnonzero(ok).tolist())
+    return Ideal._trusted(ring, np.flatnonzero(ok))
 
 
 def annihilator(ring: FiniteRing, x: int) -> Ideal:
@@ -379,17 +386,16 @@ def is_field(ring: FiniteRing) -> bool:
 
 
 def preimage_ideal(hom: Homomorphism, p: Ideal) -> Ideal:
+    """f^-1(P): f(a + b) = f(a) + f(b) and f(ra) = f(r)f(a) stay in P."""
     if p.ring is not hom.target:
         raise RingMismatch("ideal does not live in the homomorphism target")
-    els = np.flatnonzero(p.mask[hom.mapping])
-    return Ideal(hom.source, els.tolist())
+    return Ideal._trusted(hom.source, np.flatnonzero(p.mask[hom.mapping]))
 
 
 def image_ideal(hom: Homomorphism, p: Ideal) -> Ideal:
-    """Image of an ideal under a surjective homomorphism."""
+    """f(P) for onto f: f(a) + f(b) = f(a + b), and each t = f(r) has tf(a) = f(ra)."""
     if p.ring is not hom.source:
         raise RingMismatch("ideal does not live in the homomorphism source")
     if not hom.is_surjective:
         raise ValueError("image of an ideal needs a surjective map")
-    els = sorted(set(hom.mapping[p.arr].tolist()))
-    return Ideal(hom.target, els)
+    return Ideal._trusted(hom.target, np.unique(hom.mapping[p.arr]))

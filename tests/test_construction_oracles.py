@@ -1,0 +1,192 @@
+"""The checks that construction trusts, run as test oracles.
+
+A FiniteRing is proved a ring by rings._verify_ring alone, which checks
+the triple axioms on generator slices; here the literal n^3 cubes of
+axiom_oracle must agree with it on every default-corpus ring of at most
+64 elements, on Hypothesis rings, and on one table for each triple axiom
+that breaks that axiom and nothing else.
+
+ideals.py builds the lattice members, the ideal arithmetic and the
+ideals transported along maps without checking them. Each must equal
+the validated Ideal of the set that defines it, so it passes
+_check_ideal: the lattice members and the images and preimages along
+every quotient and localization map, on the same rings, and the ideal
+arithmetic on the corpus rings.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+
+from axiom_oracle import verify_triples_literal
+from idealis import (
+    FiniteRing,
+    Ideal,
+    all_ideals,
+    build_corpus,
+    build_ring,
+    colon,
+    colon_ideal,
+    ideal_gen,
+    ideal_intersect,
+    ideal_product,
+    ideal_sum,
+    image_ideal,
+    make_localization,
+    make_quotient,
+    preimage_ideal,
+    unit_ideal,
+    zero_ideal,
+)
+from idealis.expr import Zn
+from idealis.theorems import _cyclic_mult_sets
+from test_lattice_oracle import EXPRS, MAX_SIZE
+
+
+@pytest.fixture(scope="module")
+def small_corpus():
+    return [r for r in build_corpus() if r.size <= MAX_SIZE]
+
+
+def test_default_corpus_tables_pass_the_literal_cubes(small_corpus):
+    for ring in small_corpus:
+        verify_triples_literal(ring.add, ring.mul)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(EXPRS)
+def test_random_rings_pass_the_literal_cubes(expr):
+    ring = build_ring(expr, cap=MAX_SIZE)
+    verify_triples_literal(ring.add, ring.mul)
+
+
+def _f2_algebra(basis_products) -> tuple[np.ndarray, np.ndarray]:
+    """Tables of the commutative F2-algebra with basis 1, x, y and the
+    given products of x and y, bilinear by construction: element
+    c0 + c1*x + c2*y is stored at index c0 + 2*c1 + 4*c2."""
+    n = 8
+    bits = (np.arange(n)[:, None] >> np.arange(3)) & 1
+    table = np.zeros((3, 3), dtype=int)
+    table[0] = table[:, 0] = [1, 2, 4]              # 1 is the identity
+    for (i, j), v in basis_products.items():
+        table[i, j] = table[j, i] = v
+    add = np.arange(n)[:, None] ^ np.arange(n)[None, :]
+    mul = np.zeros((n, n), dtype=int)
+    for i in range(3):
+        for j in range(3):
+            on = (bits[:, i, None] & bits[None, :, j]).astype(bool)
+            mul[on] ^= table[i, j]
+    return add, mul
+
+
+# each table keeps commutativity, both identities, additive inverses and
+# 0*x = 0, and breaks exactly one triple axiom
+BROKEN_AXIOM_TABLES = {
+    # 1 + c = 1 for c != 1, every a + a = 0, and the products of elements
+    # other than 1 are 0: * distributes, but (1 + 1) + 2 != 1 + (1 + 2)
+    "+ not associative": (
+        [[0, 1, 2], [1, 0, 1], [2, 1, 0]],
+        [[0, 0, 0], [0, 1, 2], [0, 2, 0]]),
+    # x*x = y, x*y = x, y*y = 0: (x*x)*y = 0 but x*(x*y) = y
+    "* not associative": _f2_algebra({(1, 1): 4, (1, 2): 2, (2, 2): 0}),
+    # Z4's addition; the products of elements other than 1 are 0, an
+    # associative monoid, but 3*(1 + 1) = 0 while 3*1 + 3*1 = 2
+    "* not distributive": (
+        [[(a + b) % 4 for b in range(4)] for a in range(4)],
+        [[a * b if 1 in (a, b) else 0 for b in range(4)] for a in range(4)]),
+}
+
+
+def _broken_cubes(add, mul) -> list[str]:
+    """The triple axioms that fail on the literal cubes."""
+    cubes = {
+        "+ not associative": (add[add], add[:, add]),
+        "* not associative": (mul[mul], mul[:, mul]),
+        "* not distributive": (mul[:, add], add[mul[:, :, None], mul[:, None, :]]),
+    }
+    return [name for name, (lhs, rhs) in cubes.items()
+            if not np.array_equal(lhs, rhs)]
+
+
+@pytest.mark.parametrize("axiom", list(BROKEN_AXIOM_TABLES))
+def test_each_broken_triple_axiom_is_rejected_by_the_generator_slices(axiom):
+    add, mul = (np.array(t) for t in BROKEN_AXIOM_TABLES[axiom])
+    assert _broken_cubes(add, mul) == [axiom]
+    with pytest.raises(ValueError, match="^" + axiom.replace("+", r"\+")
+                       .replace("*", r"\*")) as proved:
+        FiniteRing(add, mul, 0, 1, Zn(len(add)))
+    with pytest.raises(ValueError) as literal:
+        verify_triples_literal(add, mul)
+    assert str(proved.value).split(" at ")[0] == str(literal.value).split(" at ")[0]
+
+
+def _assert_is_its_validated_twin(p: Ideal, elements) -> None:
+    """p equals the Ideal that validates its defining set, so p holds the
+    same elements, which pass _check_ideal."""
+    assert p == Ideal(p.ring, [int(a) for a in elements]), p
+
+
+def assert_maps_transport_ideals(ring) -> None:
+    """Images under every quotient and localization map of the ring, and
+    preimages of every ideal of their targets. Maps are onto, so a map's
+    target tables follow from its mapping, and each distinct mapping is
+    checked once."""
+    lat = all_ideals(ring)
+    maps = [make_quotient(ring, q)[1] for q in lat.proper]
+    maps += [make_localization(ring, s)[1] for s in _cyclic_mult_sets(ring)]
+    for p in lat:
+        _assert_is_its_validated_twin(p, p.elements)
+    for f in {f.mapping.tobytes(): f for f in maps}.values():
+        images = f.mapping.tolist()
+        for p in lat:
+            _assert_is_its_validated_twin(image_ideal(f, p),
+                                          {images[a] for a in p.elements})
+        for p in all_ideals(f.target):
+            members = set(p.elements)
+            _assert_is_its_validated_twin(
+                preimage_ideal(f, p),
+                [a for a, v in enumerate(images) if v in members])
+
+
+def assert_arithmetic_builds_ideals(ring) -> None:
+    """Sums, intersections and products of every pair of ideals (i <= j
+    suffices, as they are symmetric), every (I : J), and (I : x) for one
+    generator x of each principal ideal: in a finite ring, (x) = (y)
+    makes y a unit multiple of x, and then (I : x) = (I : y)."""
+    lat = all_ideals(ring)
+    _assert_is_its_validated_twin(zero_ideal(ring), [ring.zero])
+    _assert_is_its_validated_twin(unit_ideal(ring), range(ring.size))
+    add, mul = ring.add.tolist(), ring.mul.tolist()
+    principal = [gens[0] for gens in lat.spanning if len(gens) == 1]
+    for a, i in enumerate(lat):
+        members = set(i.elements)
+        for x in principal:
+            _assert_is_its_validated_twin(
+                colon(i, x), [r for r in range(ring.size) if mul[r][x] in members])
+        for b, j in enumerate(lat):
+            _assert_is_its_validated_twin(
+                colon_ideal(i, j), [r for r in range(ring.size)
+                                    if all(mul[r][y] in members for y in j.elements)])
+            if b < a:
+                continue
+            _assert_is_its_validated_twin(
+                ideal_sum(i, j), {add[x][y] for x in i.elements for y in j.elements})
+            _assert_is_its_validated_twin(
+                ideal_intersect(i, j), members & set(j.elements))
+            prods = [mul[x][y] for x in i.elements for y in j.elements]
+            _assert_is_its_validated_twin(ideal_product(i, j),
+                                          ideal_gen(ring, prods).elements)
+
+
+def test_default_corpus_trusted_ideals_pass_the_ideal_check(small_corpus):
+    for ring in small_corpus:
+        assert_maps_transport_ideals(ring)
+        assert_arithmetic_builds_ideals(ring)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(EXPRS)
+def test_random_rings_trusted_ideals_pass_the_ideal_check(expr):
+    assert_maps_transport_ideals(build_ring(expr, cap=MAX_SIZE))

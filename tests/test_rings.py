@@ -216,8 +216,8 @@ def test_map_fault_in_a_later_block_is_reported_at_its_first_position():
 
 
 def test_twin_tables_share_the_live_proof(monkeypatch):
+    gc.collect()                        # no Z4 or Z12 of an earlier test is alive
     z4 = make_zn(4)
-    gc.collect()                        # no Z12 of an earlier test is alive
     verified = []
     verify = rings._verify_ring
     monkeypatch.setattr(rings, "_verify_ring",

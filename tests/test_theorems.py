@@ -12,6 +12,7 @@ import pytest
 from idealis import (
     CHECK_ORDER,
     CHECKS,
+    FiniteRing,
     all_ideals,
     build_corpus,
     corpus_hash,
@@ -21,6 +22,7 @@ from idealis import (
     run_checks,
     zn_classification,
 )
+from idealis.expr import Zn
 from idealis.theorems import (
     all_proper_w1ap,
     non_w1ap_ideal,
@@ -242,26 +244,31 @@ def test_fault_injection_is_detected():
     assert wit is not None and wit.elements == (0, 4)
 
 
-def test_corrupt_table_cannot_reach_the_harness():
-    # direct table damage breaks ideal closure, which every lattice
-    # construction validates, so the corruption is caught before any
-    # theorem check runs
+def _assert_table_damage_is_refused(name: str, at: tuple[int, int], value: int,
+                                    message: str):
+    """A verified ring's tables cannot be damaged where the harness would
+    read them: rebinding is refused, the arrays are read-only, and a ring
+    built from the damaged table fails verification."""
     r = make_zn(9)
-    mul = np.array(r.mul)
-    mul[2, 2] = 1
-    r.mul = mul
+    damaged = np.array(getattr(r, name))
+    damaged[at] = value
+    with pytest.raises(AttributeError):
+        setattr(r, name, damaged)
     with pytest.raises(ValueError):
-        all_ideals(r)
+        getattr(r, name)[at] = value
+    tables = {"add": np.array(r.add), "mul": np.array(r.mul), name: damaged}
+    with pytest.raises(ValueError, match=message):
+        FiniteRing(tables["add"], tables["mul"], 0, 1, Zn(9))
+    assert getattr(r, name)[at] != value
+    assert len(all_ideals(r)) == 3
+
+
+def test_corrupt_table_cannot_reach_the_harness():
+    _assert_table_damage_is_refused("mul", (2, 2), 1, "not distributive")
 
 
 def test_corrupt_add_table_cannot_reach_the_harness():
-    # 3 + 3 = 7 breaks additive closure of (3) = {0, 3, 6}
-    r = make_zn(9)
-    add = np.array(r.add)
-    add[3, 3] = 7
-    r.add = add
-    with pytest.raises(ValueError):
-        all_ideals(r)
+    _assert_table_damage_is_refused("add", (3, 3), 7, "not associative")
 
 
 def test_corpus_hash_tracks_content():
