@@ -26,19 +26,29 @@ P. The violation is symmetric in x, y and z, so sorting one gives one
 that is lex-smaller or equal: the least has x <= y <= z, and it is the
 first row-major hit of the plane of its x.
 
-The strict condition sees x, y and z only through their cosets mod P:
-whether x*y*z, x*y, x*z and y*z lie in P does not change when p in P is
-added to x. Replacing each coordinate of a violation by the least
-member of its coset and sorting gives a violation that is lex-smaller
-or equal, so the strict search runs over the representatives only: the
-nonunits outside P that are the least member of x + P. A coset with a
-violation holds no unit, so its least member is such a nonunit. The
-weak condition x*y*z != 0 does not pass to cosets, but a weak violation
-is a strict one, so each of its cosets holds a coordinate of a strict
+The units of A act on A/P by multiplication, and the orbit of x is the
+union of the cosets u*x + P. The strict condition sees x, y and z only
+through their orbits: whether x*y*z, x*y, x*z and y*z lie in P does not
+change when p in P is added to x, nor when x is multiplied by a unit u,
+for u*w lies in P iff w does. Replacing each coordinate of a violation
+by the least member of its orbit and sorting gives a violation that is
+lex-smaller or equal, so the strict search runs over the orbit
+representatives only: the nonunits outside P that are the least member
+of their orbit. An orbit with a violation holds no unit, so its least
+member is such a nonunit. That member is the least coset_least value
+over the associate class of x, read through the ring's associates in one
+pass over the elements.
+
+The weak condition x*y*z != 0 does not pass to cosets, but it passes to
+associates: u*x*y*z = 0 iff x*y*z = 0. So replacing each coordinate of a
+weak violation by its least associate and sorting gives a weak
+violation that is lex-smaller or equal, and the least one is made of
+elements that are their own least associate. A weak violation is a
+strict one, so each of its orbits holds a coordinate of a strict
 violation among the representatives. The strict search marks those
-cosets, and the weak search runs over all their members. It is skipped
-when there is no strict violation, and for P = 0, where 0 != x*y*z in P
-cannot hold.
+orbits, and the weak search runs over their members that are their own
+least associate. It is skipped when there is no strict violation, and
+for P = 0, where 0 != x*y*z in P cannot hold.
 
 The 1-absorbing condition sees nonunits x, y only through w = x*y: its
 table has a row per such w outside P (w in P satisfies the
@@ -194,10 +204,13 @@ def _scan_prime(ring: FiniteRing, mask: np.ndarray):
 
 
 def _scan_two_absorbing(ring: FiniteRing, mask: np.ndarray):
-    least = coset_least(ring, np.flatnonzero(mask))
+    assoc = ring.associates
+    orbit = np.full(ring.size, ring.size)
+    np.minimum.at(orbit, assoc, coset_least(ring, np.flatnonzero(mask)))
+    orbit = orbit[assoc]               # least member of the cosets u*x + P
     c = ring.nonunits[~mask[ring.nonunits]]
     strict, seen = None, np.zeros(ring.size, dtype=bool)
-    for (x,), ys, _, viol, _ in _two_absorbing_planes(ring, mask, c[least[c] == c]):
+    for (x,), ys, _, viol, _ in _two_absorbing_planes(ring, mask, c[orbit[c] == c]):
         rows = viol.any(axis=1)        # viol is symmetric: rows are columns
         if rows.any():
             if strict is None:
@@ -207,7 +220,7 @@ def _scan_two_absorbing(ring: FiniteRing, mask: np.ndarray):
             seen[ys[rows]] = True
     if strict is None or np.count_nonzero(mask) == 1:      # no hit, or P = 0
         return strict, None
-    planes = _two_absorbing_planes(ring, mask, c[seen[least[c]]])
+    planes = _two_absorbing_planes(ring, mask, c[seen[orbit[c]] & (assoc[c] == c)])
     return strict, _least_violations(planes, ring.zero)[1]
 
 

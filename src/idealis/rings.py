@@ -23,11 +23,11 @@ additive generating set:
   all first arguments by the same induction using distributivity and
   the checked commutativity of *.
 
-Each of these slices, and each table equation of a Homomorphism, is
-compared in blocks of whole rows of at most 65536 entries, so no full
-n x n temporary is made: a ring of at most 256 elements is one block,
-and a mismatch is reported at its first row-major position, as a
-comparison of the whole tables would.
+Each of these slices, the pairwise checks and scans above and each
+table equation of a Homomorphism run in blocks of whole rows of at most
+16384 entries, so verification makes no full n x n temporary: a ring of
+at most 128 elements is one block, and a mismatch is reported at its
+first row-major position, as a comparison of the whole tables would.
 
 This reduction is the only proof a table gets; the tests hold it to the
 literal n^3 triple scans. A build with the exact tables of a live ring
@@ -61,7 +61,7 @@ if TYPE_CHECKING:
 
 DEFAULT_ELEMENT_CAP = 1024
 _INT32_PRODUCTS = 46341         # largest n with (n-1)^2 < 2^31
-_BLOCK_ENTRIES = 1 << 16        # entries per compared block of table rows
+_BLOCK_ENTRIES = 1 << 14        # entries per block of table rows
 # live verified rings by (n, zero, one, crc32 of add then mul)
 _VERIFIED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
@@ -97,6 +97,8 @@ class FiniteRing:
         nonunit_products (cached): (xy, ws, first): xy = mul on nonunit
             pairs, ws its sorted distinct values, first[k] the row-major
             index in xy of the first pair giving ws[k].
+        associates (cached): associates[x] is the least u*x over the
+            units u, n read-only int32 values.
         provenance: the construction expression.
         _scans: witnesses per verdict key, keyed by ideal elements.
         factors: (left, right) for a direct product, else None; element
@@ -148,14 +150,15 @@ class FiniteRing:
         self._scans: dict[tuple[int, ...], dict[str, tuple | None]] = {}
         _verify_ring(self)
 
-        self.neg = (add == self.zero).argmax(axis=1).astype(np.int32)
-        self.unit_mask = (mul == self.one).any(axis=1)
+        self.neg = _per_row(
+            n, lambda rows: (add[rows] == self.zero).argmax(axis=1)).astype(np.int32)
+        self.unit_mask = _per_row(n, lambda rows: (mul[rows] == self.one).any(axis=1))
         self.units = frozenset(int(u) for u in np.flatnonzero(self.unit_mask))
         self.nonunits = np.flatnonzero(~self.unit_mask).astype(np.int32)
 
         # a finite commutative ring has no regular nonunits; checking the
         # scan result against the unit scan guards both computations
-        regular = (mul == self.zero).sum(axis=1) == 1
+        regular = _per_row(n, lambda rows: (mul[rows] == self.zero).sum(axis=1) == 1)
         if not np.array_equal(regular, self.unit_mask):
             raise ValueError("regular elements disagree with units; tables corrupt")
 
@@ -179,6 +182,14 @@ class FiniteRing:
         for a in (xy, ws, first):
             a.setflags(write=False)
         return xy, ws, first
+
+    @cached_property
+    def associates(self) -> np.ndarray:
+        """associates[x] is the least u*x over the units u: the least
+        member of x's associate class."""
+        least = self.mul[self.unit_mask].min(axis=0)
+        least.setflags(write=False)
+        return least
 
     @property
     def text(self) -> str:
@@ -232,19 +243,18 @@ def _verify_ring(r: FiniteRing) -> None:
     add, mul, n = r.add, r.mul, r.size
     idx = np.arange(n)
 
-    if not np.array_equal(add, add.T):
-        x, y = np.argwhere(add != add.T)[0]
-        raise ValueError(f"+ not commutative at ({x}, {y})")
-    if not np.array_equal(mul, mul.T):
-        x, y = np.argwhere(mul != mul.T)[0]
-        raise ValueError(f"* not commutative at ({x}, {y})")
+    for op, t in (("+", add), ("*", mul)):
+        bad = _first_mismatch(n, lambda rows: t[rows], lambda rows: t[:, rows].T)
+        if bad:
+            x, y = bad
+            raise ValueError(f"{op} not commutative at ({x}, {y})")
     if not np.array_equal(add[r.zero], idx):
         raise ValueError("0 is not an additive identity")
     if not np.array_equal(mul[r.one], idx):
         raise ValueError("1 is not a multiplicative identity")
-    if not (add == r.zero).any(axis=1).all():
-        a = int(np.argmin((add == r.zero).any(axis=1)))
-        raise ValueError(f"element {a} has no additive inverse")
+    has_neg = _per_row(n, lambda rows: (add[rows] == r.zero).any(axis=1))
+    if not has_neg.all():
+        raise ValueError(f"element {int(np.argmin(has_neg))} has no additive inverse")
     if not (mul[r.zero] == r.zero).all():
         raise ValueError("0 * x != 0 for some x")
 
@@ -270,17 +280,27 @@ def _verify_ring(r: FiniteRing) -> None:
             raise ValueError(f"* not distributive at ({a}, {g}, {x})")
 
 
+def _row_blocks(n: int):
+    """Slices of whole rows of an n x n table, each of at most
+    _BLOCK_ENTRIES entries."""
+    step = max(1, _BLOCK_ENTRIES // n)
+    return (slice(start, start + step) for start in range(0, n, step))
+
+
+def _per_row(n: int, f) -> np.ndarray:
+    """The n values f(rows) gives, one per row, built one block at a time."""
+    return np.concatenate([f(rows) for rows in _row_blocks(n)])
+
+
 def _first_mismatch(n: int, lhs, rhs) -> tuple[int, int] | None:
     """First row-major (row, column) where the n x n tables lhs and rhs
-    differ, or None. lhs(rows) and rhs(rows) build one slice of rows at a
-    time, of at most _BLOCK_ENTRIES entries."""
-    step = max(1, _BLOCK_ENTRIES // n)
-    for start in range(0, n, step):
-        rows = slice(start, start + step)
+    differ, or None. lhs(rows) and rhs(rows) build one block of rows at a
+    time."""
+    for rows in _row_blocks(n):
         a, b = lhs(rows), rhs(rows)
         if not np.array_equal(a, b):
             i, j = np.argwhere(a != b)[0]
-            return start + int(i), int(j)
+            return rows.start + int(i), int(j)
     return None
 
 

@@ -251,6 +251,18 @@ def test_nonunit_products_match_pair_loop():
         assert got_first.tolist() == [first[w] for w in sorted(first)], ring.text
 
 
+def test_associates_match_unit_loop():
+    # associates[x] is the least u*x over the units u
+    for ring in _index_rings():
+        units = sorted(ring.units)
+        want = [min(int(ring.mul[u, x]) for u in units) for x in range(ring.size)]
+        assert ring.associates.dtype == np.int32
+        assert ring.associates.tolist() == want, ring.text
+        assert not ring.associates.flags.writeable
+        with pytest.raises(ValueError):
+            ring.associates[0] = 0
+
+
 def test_member_products_match_member_loop():
     # xnz[x, q]: some member y of ideal q has x*y != 0
     for ring in _index_rings():

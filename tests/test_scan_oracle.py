@@ -7,7 +7,8 @@ The six conditions of tmm_characterize must all equal its w1ap verdict.
 Above the cubes' 64 elements, the 2-absorbing scan and the 1-absorbing
 table must agree with the per-x plane searches on rings of up to 256
 elements, and so must the weak 2-absorbing search on the corpus ideals
-it finds hardest. Quotients that share a live ring's tables, and equal ideals
+it finds hardest. The 2-absorbing candidate counts on those rings are
+pinned. Quotients that share a live ring's tables, and equal ideals
 built outside the lattice, read the witnesses of one shared scan.
 """
 
@@ -146,6 +147,61 @@ def test_weak_two_absorbing_search_on_its_hard_cases():
     assert len(empty) == 7 and empty[0][0] == "Idealize(Z8, (2))"
     assert len(not_least) == 139
     assert ("Z2 x Z8", (2, 2, 2), (10, 10, 10)) in not_least
+
+
+def test_weak_two_absorbing_search_where_units_matter():
+    """The weak 2-absorbing search runs over the members of the orbits
+    u*x + P marked by strict violations that are their own least
+    associate: x*y*z != 0 passes to associates, not to cosets. These are
+    the ideals whose weak witness has a coordinate that is not the least
+    of its orbit, which a search over the orbit representatives misses;
+    in 3 of them every coordinate is still the least of its coset."""
+    not_least, coset_least_only = [], []
+    for ring in build_corpus():
+        units = sorted(ring.units)
+        for p in all_ideals(ring).proper:
+            strict, weak = plane_two_absorbing(p)
+            if weak is None:
+                continue
+            least = coset_least(ring, p.arr)
+            orbit = least[ring.mul[units]].min(axis=0)      # over every u*x
+            w = list(weak)
+            if (orbit[w] == w).all():
+                continue
+            where = (ring.text, p.elements)
+            assert is_two_absorbing(p).witness == strict, where
+            assert is_weakly_two_absorbing(p).witness == weak, where
+            not_least.append(where)
+            if (least[w] == w).all():
+                coset_least_only.append((*where, strict, weak))
+    assert len(not_least) == 142 and len(coset_least_only) == 3
+    assert coset_least_only[0] == (
+        "Idealize(Z6, (0))", (0, 3), (12, 19, 19), (13, 19, 19))
+
+
+def test_two_absorbing_candidate_counts_on_large_rings(monkeypatch):
+    """Candidates the 2-absorbing scan gives its strict and weak searches,
+    summed over the proper ideals of LARGE_RINGS. Drawn from coset
+    representatives and every member of the marked cosets they were
+    4205 and 11459; counts, unlike times, hold on any host."""
+    scans = importlib.import_module("idealis.classify")
+    planes = scans._two_absorbing_planes
+    sizes = []
+
+    def counted(ring, mask, c):
+        sizes.append(len(c))
+        return planes(ring, mask, c)
+    monkeypatch.setattr(scans, "_two_absorbing_planes", counted)
+    ideals = strict = weak = 0
+    for text in LARGE_RINGS:
+        ring = build_ring_text(text)
+        for p in all_ideals(ring).proper:
+            sizes.clear()
+            scans._scan_two_absorbing(ring, p.mask)     # past the scan memo
+            ideals += 1
+            strict += sizes[0]
+            weak += sum(sizes[1:])
+    assert (ideals, strict, weak) == (207, 1500, 2384)
 
 
 def test_one_absorbing_table_matches_planes_on_large_rings():
