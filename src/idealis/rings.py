@@ -23,16 +23,18 @@ additive generating set:
   all first arguments by the same induction using distributivity and
   the checked commutativity of *.
 
-Each of these slices, the pairwise checks and scans above and each
-table equation of a Homomorphism run in blocks of whole rows of at most
+Each of these slices, the pairwise checks and scans above, the
+comparison of a build's tables with a live ring's and each table
+equation of a Homomorphism run in blocks of whole rows of at most
 16384 entries, so verification makes no full n x n temporary: a ring of
 at most 128 elements is one block, and a mismatch is reported at its
 first row-major position, as a comparison of the whole tables would.
 
 This reduction is the only proof a table gets; the tests hold it to the
 literal n^3 triple scans. A build with the exact tables of a live ring
-(compared in full, never by digest alone) shares that ring's proof. The
-tables are read-only, and `add` and `mul` cannot be rebound.
+(compared in full, never by digest alone) shares their proof, which
+lives as long as any ring built with them. The tables are read-only,
+and `add` and `mul` cannot be rebound.
 """
 
 from __future__ import annotations
@@ -62,8 +64,23 @@ if TYPE_CHECKING:
 DEFAULT_ELEMENT_CAP = 1024
 _INT32_PRODUCTS = 46341         # largest n with (n-1)^2 < 2^31
 _BLOCK_ENTRIES = 1 << 14        # entries per block of table rows
-# live verified rings by (n, zero, one, crc32 of add then mul)
+# the _Proven record of each live table pair, by (n, zero, one, crc32 of
+# add then mul); every ring built with the pair holds it, so an entry
+# lives as long as any of those rings does
 _VERIFIED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+class _Proven:
+    """A verified table pair and the data derived from it, shared by
+    every live ring built with those tables."""
+
+    __slots__ = ("add", "mul", "neg", "unit_mask", "units", "nonunits",
+                 "scans", "__weakref__")
+
+    def __init__(self, r: FiniteRing):
+        self.add, self.mul, self.neg = r.add, r.mul, r.neg
+        self.unit_mask, self.units, self.nonunits = r.unit_mask, r.units, r.nonunits
+        self.scans = r._scans
 
 
 def element_cap() -> int:
@@ -84,7 +101,8 @@ def _check_cap(n: int, cap: int | None) -> None:
 class FiniteRing:
     """A verified finite commutative ring with identity. Each distinct
     table is verified in full; a build with a live ring's exact tables
-    shares its proof, unit data and _scans.
+    shares the _Proven record of their first verification: the tables,
+    neg, unit data and _scans.
 
     Attributes:
         size: number of elements.
@@ -101,6 +119,7 @@ class FiniteRing:
             units u, n read-only int32 values.
         provenance: the construction expression.
         _scans: witnesses per verdict key, keyed by ideal elements.
+        _proven: the _Proven record this ring shares with its twins.
         factors: (left, right) for a direct product, else None; element
             (a, b) is stored at index a*right.size + b.
         idealization: (base, j) for the trivial extension base (+) base/j,
@@ -138,12 +157,14 @@ class FiniteRing:
         self._lattice: IdealLattice | None = None    # filled by all_ideals
 
         key = (n, self.zero, self.one, zlib.crc32(mul, zlib.crc32(add)))
-        twin = _VERIFIED.get(key)
-        if (twin is not None and np.array_equal(twin.add, add)
-                and np.array_equal(twin.mul, mul)):
-            self.add, self.mul, self.neg = twin.add, twin.mul, twin.neg
-            self.unit_mask, self.units = twin.unit_mask, twin.units
-            self.nonunits, self._scans = twin.nonunits, twin._scans
+        proven = _VERIFIED.get(key)
+        if (proven is not None
+                and _first_mismatch(n, proven.add.__getitem__, add.__getitem__) is None
+                and _first_mismatch(n, proven.mul.__getitem__, mul.__getitem__) is None):
+            self._proven = proven
+            self.add, self.mul, self.neg = proven.add, proven.mul, proven.neg
+            self.unit_mask, self.units = proven.unit_mask, proven.units
+            self.nonunits, self._scans = proven.nonunits, proven.scans
             return
         self.add = add
         self.mul = mul
@@ -167,7 +188,8 @@ class FiniteRing:
         self.neg.setflags(write=False)
         self.unit_mask.setflags(write=False)
         self.nonunits.setflags(write=False)
-        _VERIFIED[key] = self
+        self._proven = _Proven(self)
+        _VERIFIED[key] = self._proven
 
     def __setattr__(self, name: str, value) -> None:
         # a guard on assignment, so reads of add and mul stay plain reads
@@ -338,7 +360,7 @@ class Homomorphism:
 
     @property
     def is_injective(self) -> bool:
-        return len(set(self.mapping.tolist())) == self.source.size
+        return len(self.image) == self.source.size
 
     @property
     def is_surjective(self) -> bool:

@@ -7,6 +7,13 @@ and the conclusion was asserted, and "vacuous" when a gating hypothesis
 failed; a passing check with zero tested instances is reported as
 vacuous, never as pass, because it is not evidence.
 
+Each check is a generator over its instances. It yields VACUOUS for an
+instance whose gate failed, and (ring, ideal, note) for a tested one,
+with note None when the conclusion held; a tested instance whose
+conclusion covers several ideals yields a list of such triples, one per
+ideal. It returns its detail line. CHECKS wraps each generator in the
+one tally that counts the instances and records the failures.
+
 Failures carry (ring, ideal) in DSL text so they can be replayed with
 the classify command.
 """
@@ -14,6 +21,7 @@ the classify command.
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Callable, Generator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,23 +81,38 @@ class TheoremCheck:
     detail: str = ""
 
 
-def _finish(check_id: str, tested: int, vacuous: int,
-            failures: list[dict], detail: str = "") -> TheoremCheck:
+VACUOUS = object()        # yielded for an instance whose gate failed
+Instances = Generator[object, None, "str | None"]     # a check's generator
+
+
+def _tally(check_id: str, instances: Instances) -> TheoremCheck:
+    """Count what a check's generator yields, record the failures in DSL
+    text (the first MAX_FAILURES of them) and decide the outcome."""
+    tested = vacuous = 0
+    failures: list[dict] = []
+    while True:
+        try:
+            item = next(instances)
+        except StopIteration as done:
+            detail = done.value or ""
+            break
+        if item is VACUOUS:
+            vacuous += 1
+            continue
+        tested += 1
+        for ring, ideal, note in item if isinstance(item, list) else [item]:
+            if note is not None:
+                failures.append({
+                    "ring": ring.text,
+                    "ideal": None if ideal is None else ideal_text(ideal),
+                    "note": note,
+                })
     if len(failures) > MAX_FAILURES:
         extra = len(failures) - MAX_FAILURES
         failures = failures[:MAX_FAILURES]
         detail = (detail + f"; {extra} further failures suppressed").lstrip("; ")
     outcome = "fail" if failures else ("pass" if tested > 0 else "vacuous")
     return TheoremCheck(check_id, outcome, tested, vacuous, failures, detail)
-
-
-def _fail(failures: list[dict], ring: FiniteRing,
-          ideal: Ideal | None, note: str) -> None:
-    failures.append({
-        "ring": ring.text,
-        "ideal": None if ideal is None else ideal_text(ideal),
-        "note": note,
-    })
 
 
 def _w1ap(p: Ideal) -> bool:
@@ -123,41 +146,28 @@ def _power_is_zero(p: Ideal, k: int) -> bool:
 # the checks
 
 
-def check_radical_weakly_prime(rings: list[FiniteRing]) -> TheoremCheck:
+def check_radical_weakly_prime(rings: list[FiniteRing]) -> Instances:
     """In a reduced ring the radical of a weakly 1-absorbing prime ideal
     is weakly prime. Instances are proper ideals of reduced corpus
     rings; non-reduced rings and non-w1ap ideals count as vacuous."""
-    tested = vacuous = 0
-    failures: list[dict] = []
     reduced_rings = 0
     for r in rings:
         if not is_reduced(r):
-            vacuous += len(all_ideals(r).proper)
+            yield from (VACUOUS for _ in all_ideals(r).proper)
             continue
         reduced_rings += 1
         for p in all_ideals(r).proper:
             if not _w1ap(p):
-                vacuous += 1
+                yield VACUOUS
                 continue
-            tested += 1
-            if not is_weakly_prime(radical(p)).holds:
-                _fail(failures, r, p, "radical is not weakly prime")
-    detail = (f"{reduced_rings} reduced rings; the colon clause for regular "
-              "non-units is empty here because regular elements coincide "
-              "with units in finite rings")
-    return _finish("radical_weakly_prime", tested, vacuous, failures, detail)
+            yield r, p, (None if is_weakly_prime(radical(p)).holds
+                         else "radical is not weakly prime")
+    return (f"{reduced_rings} reduced rings; the colon clause for regular "
+            "non-units is empty here because regular elements coincide "
+            "with units in finite rings")
 
 
-def _identity_hom(r: FiniteRing) -> Homomorphism:
-    return Homomorphism(r, r, np.arange(r.size, dtype=np.int32))
-
-
-def _diagonal_hom(r: FiniteRing) -> Homomorphism:
-    rr = make_product(r, r)
-    return Homomorphism(r, rr, np.arange(r.size, dtype=np.int64) * (r.size + 1))
-
-
-def check_hom_transfer(rings: list[FiniteRing]) -> TheoremCheck:
+def check_hom_transfer(rings: list[FiniteRing]) -> Instances:
     """Transfer along unit homomorphisms: the preimage of a weakly
     1-absorbing prime ideal under an injective nonunit-preserving map is
     weakly 1-absorbing prime, and the image under a surjection is, when
@@ -166,92 +176,72 @@ def check_hom_transfer(rings: list[FiniteRing]) -> TheoremCheck:
     The hom corpus is identities, quotient projections, and diagonal
     embeddings r -> r x r built from the ring corpus.
     """
-    tested = vacuous = 0
-    failures: list[dict] = []
     homs: list[Homomorphism] = []
     for r in rings:
         if r.size <= HOM_SIZE_LIMIT:
-            homs.append(_identity_hom(r))
+            homs.append(Homomorphism(r, r, np.arange(r.size)))
             for q in all_ideals(r).proper:
                 homs.append(make_quotient(r, q)[1])
         if r.size <= HOM_DIAGONAL_LIMIT:
-            homs.append(_diagonal_hom(r))
+            diagonal = np.arange(r.size) * (r.size + 1)       # a -> (a, a)
+            homs.append(Homomorphism(r, make_product(r, r), diagonal))
     for f in homs:
         if f.is_injective:
             for p in all_ideals(f.target).proper:
                 if not _w1ap(p):
                     continue
                 if not f.preserves_nonunits:
-                    vacuous += 1          # the nonunit hypothesis gates (i)
+                    yield VACUOUS         # the nonunit hypothesis gates (i)
                     continue
-                tested += 1
-                if not _w1ap(preimage_ideal(f, p)):
-                    _fail(failures, f.source, preimage_ideal(f, p),
-                          f"preimage from {f.target.text} is not w1ap")
+                pre = preimage_ideal(f, p)
+                yield f.source, pre, (None if _w1ap(pre) else
+                                      f"preimage from {f.target.text} is not w1ap")
         if f.is_surjective:
-            kernel_mask = np.zeros(f.source.size, dtype=bool)
-            kernel_mask[list(f.kernel)] = True
+            kernel_mask = f.mapping == f.target.zero
             for p in all_ideals(f.source).proper:
                 if not _w1ap(p):
                     continue
                 if not kernel_mask[p.arr].all():
-                    vacuous += 1          # kernel not inside the ideal
+                    yield VACUOUS         # kernel not inside the ideal
                     continue
-                tested += 1
-                if not _w1ap(image_ideal(f, p)):
-                    _fail(failures, f.source, p,
-                          f"image in {f.target.text} is not w1ap")
-    return _finish("hom_transfer", tested, vacuous, failures,
-                   f"{len(homs)} homomorphisms")
+                yield f.source, p, (None if _w1ap(image_ideal(f, p)) else
+                                    f"image in {f.target.text} is not w1ap")
+    return f"{len(homs)} homomorphisms"
 
 
-def check_quotient_transfer(rings: list[FiniteRing]) -> TheoremCheck:
+def check_quotient_transfer(rings: list[FiniteRing]) -> Instances:
     """Quotient behaviour: (i) P/Q is weakly 1-absorbing prime whenever
     P is and Q <= P; (ii) with unit lifting, Q and P/Q weakly
     1-absorbing prime force P to be; (iii) when the zero ideal is
     1-absorbing prime, weakly 1-absorbing prime ideals are 1-absorbing
     prime. Part (ii) pairs without unit lifting count as vacuous."""
-    tested = vacuous = 0
-    failures: list[dict] = []
     for r in rings:
         if r.size > QUOTIENT_SIZE_LIMIT:
             continue
         lat = all_ideals(r)
         proper = lat.proper
-        units = set(np.flatnonzero(r.unit_mask).tolist())
-        zero_one_abs = is_one_absorbing_prime(zero_ideal(r)).holds
         for qi, q in enumerate(proper):
             rq, proj = make_quotient(r, q)
-            lifted = {int(proj.mapping[u]) for u in units}
-            quotient_units = set(np.flatnonzero(rq.unit_mask).tolist())
-            unit_lifting = lifted == quotient_units
+            unit_lifting = {int(proj.mapping[u]) for u in r.units} == rq.units
             for pi, p in enumerate(proper):
                 if not lat.le[qi, pi]:
                     continue
                 image = image_ideal(proj, p)
                 p_w1 = _w1ap(p)
                 if p_w1:
-                    tested += 1
-                    if not _w1ap(image):
-                        _fail(failures, r, p,
-                              f"P/Q not w1ap for Q = {ideal_text(q)}")
+                    yield r, p, (None if _w1ap(image) else
+                                 f"P/Q not w1ap for Q = {ideal_text(q)}")
                 if _w1ap(q) and _w1ap(image):
-                    if not unit_lifting:
-                        vacuous += 1
-                        continue
-                    tested += 1
-                    if not p_w1:
-                        _fail(failures, r, p,
-                              f"unit-lifting converse fails for Q = {ideal_text(q)}")
-        if zero_one_abs:
+                    if unit_lifting:
+                        yield r, p, (None if p_w1 else "unit-lifting converse "
+                                     f"fails for Q = {ideal_text(q)}")
+                    else:
+                        yield VACUOUS
+        if is_one_absorbing_prime(zero_ideal(r)).holds:
             for p in proper:
-                if not _w1ap(p):
-                    continue
-                tested += 1
-                if not is_one_absorbing_prime(p).holds:
-                    _fail(failures, r, p,
-                          "zero ideal is 1-absorbing prime but P is not")
-    return _finish("quotient_transfer", tested, vacuous, failures)
+                if _w1ap(p):
+                    yield r, p, (None if is_one_absorbing_prime(p).holds else
+                                 "zero ideal is 1-absorbing prime but P is not")
 
 
 def _cyclic_mult_sets(r: FiniteRing) -> list[tuple[int, ...]]:
@@ -261,35 +251,28 @@ def _cyclic_mult_sets(r: FiniteRing) -> list[tuple[int, ...]]:
     for t in range(r.size):
         cur = int(r.one)
         seen = {cur}
-        ok = True
         for _ in range(r.size):
             cur = int(r.mul[cur, t])
-            if cur == r.zero:
-                ok = False
-                break
-            if cur in seen:
+            if cur == r.zero or cur in seen:
                 break
             seen.add(cur)
-        if ok:
-            key = frozenset(seen)
-            out.setdefault(key, tuple(sorted(seen)))
+        if cur != r.zero:
+            out.setdefault(frozenset(seen), tuple(sorted(seen)))
     return sorted(out.values(), key=lambda s: (len(s), s))
 
 
-def check_localization_transfer(rings: list[FiniteRing]) -> TheoremCheck:
+def check_localization_transfer(rings: list[FiniteRing]) -> Instances:
     """Localization behaviour: the extension of a weakly 1-absorbing
     prime ideal disjoint from S stays weakly 1-absorbing prime. The
     converse instances require S inside the regular elements; since
     regular elements are units in finite rings, instances where S
     contains a zero-divisor are recorded as vacuous."""
-    tested = vacuous = 0
     converse_tested = 0
-    failures: list[dict] = []
     for r in rings:
         if r.size > LOCALIZATION_SIZE_LIMIT:
             continue
         for s in _cyclic_mult_sets(r):
-            rl, can = make_localization(r, s)
+            can = make_localization(r, s)[1]
             s_arr = np.asarray(s, dtype=np.intp)
             s_regular = bool(r.unit_mask[s_arr].all())
             for p in all_ideals(r).proper:
@@ -297,72 +280,55 @@ def check_localization_transfer(rings: list[FiniteRing]) -> TheoremCheck:
                     continue              # P meets S: out of scope
                 extension = image_ideal(can, p)
                 if _w1ap(p):
-                    tested += 1
-                    if not _w1ap(extension):
-                        _fail(failures, r, p,
-                              f"extension not w1ap for S = {s}")
+                    yield r, p, (None if _w1ap(extension) else
+                                 f"extension not w1ap for S = {s}")
                 if not s_regular:
-                    vacuous += 1          # converse needs S without zero-divisors
-                    continue
-                if _w1ap(extension):
-                    tested += 1
+                    yield VACUOUS         # converse needs S without zero-divisors
+                elif _w1ap(extension):
                     converse_tested += 1
-                    if not _w1ap(p):
-                        _fail(failures, r, p,
-                              f"converse fails for regular S = {s}")
-    return _finish("localization_transfer", tested, vacuous, failures,
-                   f"{converse_tested} converse instances with S inside the units")
+                    yield r, p, (None if _w1ap(p) else
+                                 f"converse fails for regular S = {s}")
+    return f"{converse_tested} converse instances with S inside the units"
 
 
-def check_nonlocal_equivalence(rings: list[FiniteRing]) -> TheoremCheck:
+def check_nonlocal_equivalence(rings: list[FiniteRing]) -> Instances:
     """In a non-quasi-local ring, an ideal whose element annihilators
     are never maximal is weakly prime exactly when it is weakly
     1-absorbing prime."""
-    tested = vacuous = 0
-    failures: list[dict] = []
     for r in rings:
         if is_quasi_local(r):
             continue
         max_masks = [m.mask for m in maximal_ideals(r)]
         for p in all_ideals(r).proper:
-            ann_maximal = False
-            for x in p.elements:
-                ann = r.mul[x] == r.zero
-                if any(np.array_equal(ann, mm) for mm in max_masks):
-                    ann_maximal = True
-                    break
-            if ann_maximal:
-                vacuous += 1
+            if any(np.array_equal(r.mul[x] == r.zero, mm)
+                   for x in p.elements for mm in max_masks):
+                yield VACUOUS
                 continue
-            tested += 1
-            if is_weakly_prime(p).holds != _w1ap(p):
-                _fail(failures, r, p, "weakly prime and w1ap disagree")
-    return _finish("nonlocal_equivalence", tested, vacuous, failures)
+            yield r, p, (None if is_weakly_prime(p).holds == _w1ap(p)
+                         else "weakly prime and w1ap disagree")
 
 
-def check_colon_characterization(rings: list[FiniteRing]) -> TheoremCheck:
+def _disagreement(verdicts: dict[str, bool], what: str) -> str | None:
+    """None when all the verdicts agree, else what and every verdict."""
+    if len(set(verdicts.values())) == 1:
+        return None
+    return what + ": " + " ".join(f"{k}={v}" for k, v in verdicts.items())
+
+
+def check_colon_characterization(rings: list[FiniteRing]) -> Instances:
     """The six colon/ideal-product conditions agree with the definitional
     scan on every proper ideal."""
-    tested = 0
-    failures: list[dict] = []
     for r in rings:
         for p in all_ideals(r).proper:
-            tested += 1
-            conds = tmm_characterize(p)
-            if len(set(conds.values())) != 1:
-                bad = " ".join(f"{k}={v}" for k, v in conds.items())
-                _fail(failures, r, p, f"conditions disagree: {bad}")
-    return _finish("colon_characterization", tested, 0, failures)
+            yield r, p, _disagreement(tmm_characterize(p), "conditions disagree")
 
 
-def check_triple_zero_annihilation(rings: list[FiniteRing]) -> TheoremCheck:
+def check_triple_zero_annihilation(rings: list[FiniteRing]) -> Instances:
     """Every 1-triple zero (x, y, z) of a weakly 1-absorbing prime ideal
     satisfies xyP = 0; triples with x, y outside (P : z) additionally
     force xzP = yzP = xP^2 = yP^2 = zP^2 = 0 and P^3 = 0. Weakly
     1-absorbing prime ideals without a 1-triple zero are vacuous."""
-    tested = vacuous = 0
     triples_seen = 0
-    failures: list[dict] = []
     for r in rings:
         mul, zero = r.mul, r.zero
         lat = all_ideals(r)
@@ -373,45 +339,37 @@ def check_triple_zero_annihilation(rings: list[FiniteRing]) -> TheoremCheck:
             t = _OneAbsorbingTable.build(r, p.mask)
             xs, ys, zs = t.triple_zeros()
             if len(xs) == 0:
-                vacuous += 1
+                yield VACUOUS
                 continue
-            tested += 1
             triples_seen += len(xs)
             parr = p.arr
             uxy = t.ws[t.hits.any(axis=1)]      # x*y of every triple
             if (mul[np.ix_(uxy, parr)] != zero).any():
-                _fail(failures, r, p, "xyP != 0 for some 1-triple zero")
+                yield r, p, "xyP != 0 for some 1-triple zero"
                 continue
             sel = ~p.mask[mul[xs, zs]] & ~p.mask[mul[ys, zs]]
-            if not sel.any():
-                continue
-            p2 = pt[pi, pi]
             ok = True
-            for vals in (mul[xs[sel], zs[sel]], mul[ys[sel], zs[sel]]):
-                if (mul[np.ix_(np.unique(vals), parr)] != zero).any():
-                    ok = False
-            members = np.unique(np.concatenate([xs[sel], ys[sel], zs[sel]]))
-            if (mul[np.ix_(members, lat[p2].arr)] != zero).any():
-                ok = False
-            if pt[p2, pi] != 0:
-                ok = False
-            if not ok:
-                _fail(failures, r, p,
-                      "strong triple-zero consequences fail (xzP, yzP, "
-                      "xP^2, yP^2, zP^2 or P^3 nonzero)")
-    return _finish("triple_zero_annihilation", tested, vacuous, failures,
-                   f"{triples_seen} triples across the tested ideals")
+            if sel.any():
+                p2 = pt[pi, pi]
+                xz_yz = np.unique(np.concatenate([mul[xs[sel], zs[sel]],
+                                                  mul[ys[sel], zs[sel]]]))
+                members = np.unique(np.concatenate([xs[sel], ys[sel], zs[sel]]))
+                ok = not ((mul[np.ix_(xz_yz, parr)] != zero).any()
+                          or (mul[np.ix_(members, lat[p2].arr)] != zero).any()
+                          or pt[p2, pi] != 0)
+            yield r, p, (None if ok else
+                         "strong triple-zero consequences fail (xzP, yzP, "
+                         "xP^2, yP^2, zP^2 or P^3 nonzero)")
+    return f"{triples_seen} triples across the tested ideals"
 
 
-def check_reduced_triple_zero(rings: list[FiniteRing]) -> TheoremCheck:
+def check_reduced_triple_zero(rings: list[FiniteRing]) -> Instances:
     """In a reduced ring a 1-triple zero of P with x, y outside (P : z)
     forces P = 0. The companion claim about nonzero weakly 1-absorbing
     prime ideals that are not 1-absorbing prime is unsatisfiable over
     finite rings (finite reduced rings are products of fields, where
     such ideals are prime), so those instances stay at zero."""
-    tested = vacuous = 0
     nonzero_cases = 0
-    failures: list[dict] = []
     for r in rings:
         if not is_reduced(r):
             continue
@@ -420,32 +378,25 @@ def check_reduced_triple_zero(rings: list[FiniteRing]) -> TheoremCheck:
             if not _w1ap(p):
                 continue
             xs, ys, zs = _OneAbsorbingTable.build(r, p.mask).triple_zeros()
-            sel = ~p.mask[mul[xs, zs]] & ~p.mask[mul[ys, zs]]
-            if sel.any():
-                tested += 1
-                if not p.is_zero:
-                    _fail(failures, r, p,
-                          "qualifying 1-triple zero in a reduced ring "
-                          "but P is nonzero")
-            else:
-                vacuous += 1
             if (len(xs) and not p.is_zero
                     and not is_one_absorbing_prime(p).holds):
                 nonzero_cases += 1
-                if sel.any():
-                    _fail(failures, r, p, "triple with xz and yz outside P")
-    return _finish("reduced_triple_zero", tested, vacuous, failures,
-                   f"{nonzero_cases} nonzero non-1-absorbing cases "
-                   "(provably none exist over finite rings)")
+            sel = ~p.mask[mul[xs, zs]] & ~p.mask[mul[ys, zs]]
+            if not sel.any():
+                yield VACUOUS
+                continue
+            yield r, p, (None if p.is_zero else
+                         "qualifying 1-triple zero in a reduced ring "
+                         "but P is nonzero")
+    return (f"{nonzero_cases} nonzero non-1-absorbing cases "
+            "(provably none exist over finite rings)")
 
 
-def check_idealization_transfer(rings: list[FiniteRing]) -> TheoremCheck:
+def check_idealization_transfer(rings: list[FiniteRing]) -> Instances:
     """P x M is weakly 1-absorbing prime in the trivial extension
     exactly when P is and every 1-triple zero of P has xy, xz, yz
     annihilating M. Both sides are computed independently, the left by a
     direct scan of the extension ring."""
-    tested = 0
-    failures: list[dict] = []
     extensions = 0
     for r in rings:
         if r.idealization is None:
@@ -459,29 +410,22 @@ def check_idealization_transfer(rings: list[FiniteRing]) -> TheoremCheck:
             members = (p.arr[:, None] * k + np.arange(k)[None, :]).ravel()
             big = Ideal(r, members.tolist())
             lhs = _w1ap(big)
-            if _w1ap(p):
-                t = _OneAbsorbingTable.build(base, p.mask)
-                xs, ys, zs = t.triple_zeros()
+            rhs = _w1ap(p)
+            if rhs:
+                xs, ys, zs = _OneAbsorbingTable.build(base, p.mask).triple_zeros()
                 rhs = bool(ann_m[mul[xs, ys]].all()
                            and ann_m[mul[xs, zs]].all()
                            and ann_m[mul[ys, zs]].all())
-            else:
-                rhs = False
-            tested += 1
-            if lhs != rhs:
-                _fail(failures, base, p,
-                      f"extension scan in {r.text} gives {lhs}, "
-                      f"base criterion gives {rhs}")
-    return _finish("idealization_transfer", tested, 0, failures,
-                   f"{extensions} trivial extensions")
+            yield base, p, (None if lhs == rhs else
+                            f"extension scan in {r.text} gives {lhs}, "
+                            f"base criterion gives {rhs}")
+    return f"{extensions} trivial extensions"
 
 
-def check_product_prime_shape(rings: list[FiniteRing]) -> TheoremCheck:
+def check_product_prime_shape(rings: list[FiniteRing]) -> Instances:
     """Over a product of two non-fields, a nonzero proper ideal is
     weakly 1-absorbing prime iff it is prime iff it is weakly prime iff
     it is 1-absorbing prime iff it is a prime times the full factor."""
-    tested = 0
-    failures: list[dict] = []
     qualifying = 0
     for r in rings:
         if r.factors is None:
@@ -508,128 +452,100 @@ def check_product_prime_shape(rings: list[FiniteRing]) -> TheoremCheck:
                 "weaklyPrime": is_weakly_prime(p).holds,
                 "oneAbsorbingPrime": is_one_absorbing_prime(p).holds,
             }
-            tested += 1
-            if len(set(verdicts.values())) != 1:
-                bad = " ".join(f"{k}={v}" for k, v in verdicts.items())
-                _fail(failures, r, p, f"five-way equivalence broken: {bad}")
-    return _finish("product_prime_shape", tested, 0, failures,
-                   f"{qualifying} products of non-fields")
+            yield r, p, _disagreement(verdicts, "five-way equivalence broken")
+    return f"{qualifying} products of non-fields"
 
 
-def check_product_all_ideals(rings: list[FiniteRing]) -> TheoremCheck:
+def check_product_all_ideals(rings: list[FiniteRing]) -> Instances:
     """All proper ideals of a product are weakly 1-absorbing prime
     exactly when it is a product of two fields."""
-    tested = 0
-    failures: list[dict] = []
     for r in rings:
         if r.factors is None:
             continue
         left, right = r.factors
-        tested += 1
-        lhs = all_proper_w1ap(r)
+        bad = non_w1ap_ideal(r)
+        lhs = bad is None
         rhs = is_field(left) and is_field(right)
-        if lhs != rhs:
-            _fail(failures, r, non_w1ap_ideal(r),
-                  f"all-w1ap = {lhs} but two-fields = {rhs}")
-    return _finish("product_all_ideals", tested, 0, failures)
+        yield r, bad, (None if lhs == rhs else
+                       f"all-w1ap = {lhs} but two-fields = {rhs}")
 
 
-def check_jacobson_dichotomy(rings: list[FiniteRing]) -> TheoremCheck:
+def check_jacobson_dichotomy(rings: list[FiniteRing]) -> Instances:
     """When every proper ideal is weakly 1-absorbing prime, either
     Jac(A)^2 = 0, or every nonzero product xy of Jacobson elements has
     (0 : xy) = Jac(A) and (0 : Jac(A)^2) = Jac(A)."""
-    tested = vacuous = 0
-    failures: list[dict] = []
     for r in rings:
         if not all_proper_w1ap(r):
-            vacuous += 1
+            yield VACUOUS
             continue
-        tested += 1
         lat = all_ideals(r)
         jac = jacobson_radical(r)
         ji = lat.index(jac)
         jac2 = lat[lat.product_table[ji, ji]]
-        if jac2.is_zero:
-            continue
-        prods = r.mul[np.ix_(jac.arr, jac.arr)]
-        nonzero = np.unique(prods[prods != r.zero])
-        ok = all(
-            annihilator(r, int(w)).elements == jac.elements
-            for w in nonzero
-        ) and annihilator_ideal(jac2).elements == jac.elements
+        ok = jac2.is_zero
         if not ok:
-            _fail(failures, r, jac,
-                  "Jac^2 nonzero and the annihilator alternative fails")
-    return _finish("jacobson_dichotomy", tested, vacuous, failures)
+            prods = r.mul[np.ix_(jac.arr, jac.arr)]
+            nonzero = np.unique(prods[prods != r.zero])
+            ok = all(
+                annihilator(r, int(w)).elements == jac.elements
+                for w in nonzero
+            ) and annihilator_ideal(jac2).elements == jac.elements
+        yield r, jac, (None if ok else
+                       "Jac^2 nonzero and the annihilator alternative fails")
 
 
-def check_local_cube_zero(rings: list[FiniteRing]) -> TheoremCheck:
+def check_local_cube_zero(rings: list[FiniteRing]) -> Instances:
     """A quasi-local ring has all proper ideals weakly 1-absorbing prime
     exactly when the cube of its maximal ideal vanishes."""
-    tested = vacuous = 0
-    failures: list[dict] = []
     for r in rings:
         if not is_quasi_local(r):
-            vacuous += 1
+            yield VACUOUS
             continue
-        tested += 1
         m = maximal_ideals(r)[0]
-        lhs = all_proper_w1ap(r)
+        bad = non_w1ap_ideal(r)
+        lhs = bad is None
         rhs = _power_is_zero(m, 3)
-        if lhs != rhs:
-            _fail(failures, r, non_w1ap_ideal(r) or m,
-                  f"all-w1ap = {lhs} but m^3 = 0 is {rhs}")
-    return _finish("local_cube_zero", tested, vacuous, failures)
+        yield r, bad or m, (None if lhs == rhs else
+                            f"all-w1ap = {lhs} but m^3 = 0 is {rhs}")
 
 
-def check_local_square_one_absorbing(rings: list[FiniteRing]) -> TheoremCheck:
+def check_local_square_one_absorbing(rings: list[FiniteRing]) -> Instances:
     """In a quasi-local ring whose maximal ideal squares to zero, every
     proper ideal is 1-absorbing prime. Quasi-local rings with a nonzero
     square count as vacuous."""
-    tested = vacuous = 0
-    failures: list[dict] = []
     for r in rings:
         if not is_quasi_local(r):
             continue
         m = maximal_ideals(r)[0]
         if not _power_is_zero(m, 2):
-            vacuous += 1
+            yield VACUOUS
             continue
-        tested += 1
-        for p in all_ideals(r).proper:
-            if not is_one_absorbing_prime(p).holds:
-                _fail(failures, r, p, "m^2 = 0 but P is not 1-absorbing prime")
-    return _finish("local_square_one_absorbing", tested, vacuous, failures)
+        yield [(r, p, None if is_one_absorbing_prime(p).holds else
+                "m^2 = 0 but P is not 1-absorbing prime")
+               for p in all_ideals(r).proper]
 
 
-def check_two_maximal_bound(rings: list[FiniteRing]) -> TheoremCheck:
+def check_two_maximal_bound(rings: list[FiniteRing]) -> Instances:
     """When every proper ideal is weakly 1-absorbing prime, the ring has
     at most two maximal ideals."""
-    tested = vacuous = 0
-    failures: list[dict] = []
     for r in rings:
         if not all_proper_w1ap(r):
-            vacuous += 1
+            yield VACUOUS
             continue
-        tested += 1
         count = len(maximal_ideals(r))
-        if count > 2:
-            _fail(failures, r, None, f"{count} maximal ideals")
-    return _finish("two_maximal_bound", tested, vacuous, failures)
+        yield r, None, None if count <= 2 else f"{count} maximal ideals"
 
 
-def check_global_classification(rings: list[FiniteRing]) -> TheoremCheck:
+def check_global_classification(rings: list[FiniteRing]) -> Instances:
     """Every proper ideal is weakly 1-absorbing prime exactly when the
     ring is quasi-local with m^3 = 0 or a product of two fields. The
     two-fields prong is decided by reducedness plus a two-element
     maximal spectrum; prime-order residue fields are additionally
     matched against Z_p by the isomorphism k -> k*1."""
-    tested = 0
-    failures: list[dict] = []
     iso_confirmed = 0
     for r in rings:
-        tested += 1
-        lhs = all_proper_w1ap(r)
+        bad = non_w1ap_ideal(r)
+        lhs = bad is None
         mx = maximal_ideals(r)
         if len(mx) == 1:
             rhs = _power_is_zero(mx[0], 3)
@@ -646,11 +562,9 @@ def check_global_classification(rings: list[FiniteRing]) -> TheoremCheck:
                     iso_confirmed += 1
         else:
             rhs = False
-        if lhs != rhs:
-            _fail(failures, r, non_w1ap_ideal(r),
-                  f"all-w1ap = {lhs} but classification shape = {rhs}")
-    return _finish("global_classification", tested, 0, failures,
-                   f"{iso_confirmed} residue fields matched against Z_p")
+        yield r, bad, (None if lhs == rhs else
+                       f"all-w1ap = {lhs} but classification shape = {rhs}")
+    return f"{iso_confirmed} residue fields matched against Z_p"
 
 
 # ---------------------------------------------------------------------------
@@ -690,54 +604,59 @@ def zn_boundary_flagged(n: int) -> bool:
     return len(f) == 1 and next(iter(f.values())) in (1, 2)
 
 
+def _zn_row(r: FiniteRing) -> dict:
+    """The Z_n table row of r = Z_n: the engine verdict of
+    all-proper-ideals-w1ap, the arithmetic shape predicate and the
+    boundary flag."""
+    n = r.provenance.n
+    return {
+        "n": n,
+        "verdict": all_proper_w1ap(r),
+        "predicted": zn_arithmetic_predicate(n),
+        "flagged": zn_boundary_flagged(n),
+    }
+
+
 def zn_classification(max_n: int, cap: int | None = None) -> list[dict]:
     """Engine verdict of all-proper-ideals-w1ap for Z_n against the
     arithmetic shape predicate, for 2 <= n <= max_n."""
-    rows = []
-    for n in range(2, max_n + 1):
-        r = make_zn(n, cap=cap)
-        rows.append({
-            "n": n,
-            "verdict": all_proper_w1ap(r),
-            "predicted": zn_arithmetic_predicate(n),
-            "flagged": zn_boundary_flagged(n),
-        })
-    return rows
+    return [_zn_row(make_zn(n, cap=cap)) for n in range(2, max_n + 1)]
 
 
-def check_zn_table(rings: list[FiniteRing]) -> TheoremCheck:
+def check_zn_table(rings: list[FiniteRing]) -> Instances:
     """Z_n corpus members against the arithmetic shape predicate. Prime
     and prime-square n are boundary rows: reported, never asserted."""
-    tested = vacuous = 0
-    failures: list[dict] = []
     flagged_rows = []
     for r in rings:
         if not isinstance(r.provenance, ex.Zn):
             continue
-        n = r.provenance.n
-        verdict = all_proper_w1ap(r)
-        predicted = zn_arithmetic_predicate(n)
-        if zn_boundary_flagged(n):
-            vacuous += 1
+        row = _zn_row(r)
+        verdict, predicted = row["verdict"], row["predicted"]
+        if row["flagged"]:
+            yield VACUOUS
             if verdict != predicted:
-                flagged_rows.append(n)
-            continue
-        tested += 1
-        if verdict != predicted:
-            _fail(failures, r, non_w1ap_ideal(r),
-                  f"engine says {verdict}, arithmetic shape says {predicted}")
-    detail = ""
+                flagged_rows.append(row["n"])
+        elif verdict == predicted:
+            yield r, None, None
+        else:
+            yield r, non_w1ap_ideal(r), (f"engine says {verdict}, "
+                                         f"arithmetic shape says {predicted}")
     if flagged_rows:
-        detail = ("boundary n where the engine verdict is true but the "
-                  "shape predicate is false: "
-                  + ", ".join(str(n) for n in flagged_rows))
-    return _finish("zn_table", tested, vacuous, failures, detail)
+        return ("boundary n where the engine verdict is true but the "
+                "shape predicate is false: "
+                + ", ".join(str(n) for n in flagged_rows))
 
 
 # ---------------------------------------------------------------------------
 # corpus and driver
 
-CHECKS = {
+
+def _checked(check_id: str, check: Callable[[list[FiniteRing]], Instances]):
+    """rings -> TheoremCheck: the tally of check(rings)."""
+    return lambda rings: _tally(check_id, check(rings))
+
+
+CHECKS = {check_id: _checked(check_id, check) for check_id, check in {
     "radical_weakly_prime": check_radical_weakly_prime,
     "hom_transfer": check_hom_transfer,
     "quotient_transfer": check_quotient_transfer,
@@ -755,7 +674,7 @@ CHECKS = {
     "two_maximal_bound": check_two_maximal_bound,
     "global_classification": check_global_classification,
     "zn_table": check_zn_table,
-}
+}.items()}
 
 CHECK_ORDER = tuple(CHECKS)           # the order checks run and print in
 

@@ -1,0 +1,67 @@
+"""The theorem checks on rings with damaged unit data, for the failure path.
+
+Each of ten small rings has its largest unit marked as a nonunit, as if
+the unit scan over its multiplication table had gone wrong, and the list
+is repeated three times so that checks with many failures truncate them.
+Each check runs on its own, on freshly built and damaged rings, and is
+rendered with `render_checks`. `tests/golden/verify_fault.txt` holds the
+output, so the failure records, the truncation lines and the outcomes
+stay byte-stable.
+
+The damage stays with the ring it was done to. Each build with a live
+ring's tables, whether a repeat in the list or a ring that a check
+derives (a quotient by the zero ideal, say), starts from the unit data
+that the verification of those tables found.
+
+Regenerate the golden only when an output is meant to change:
+
+    PYTHONPATH=src python tests/fault_corpus.py > tests/golden/verify_fault.txt
+"""
+
+from __future__ import annotations
+
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from idealis import CHECK_ORDER, CHECKS, build_ring_text
+from idealis.cli import render_checks
+
+GOLDEN = Path(__file__).parent / "golden" / "verify_fault.txt"
+
+FAULT_TEXTS = ("Z8", "Z12", "Z2 x Z2", "LocalAlg(2)", "Z9", "Z30",
+               "Z6 x Z4", "Z4 x Z4", "Idealize(Z4, (2))", "Z27")
+REPEATS = 3
+
+
+def corrupt_unit_scan(r, fake_nonunit):
+    """Damage the ring's derived unit data in place, as if the unit scan
+    over the multiplication table had gone wrong."""
+    um = r.unit_mask.copy()
+    um[fake_nonunit] = False
+    r.unit_mask = um
+    r.units = frozenset(int(u) for u in np.flatnonzero(um))
+    r.nonunits = np.flatnonzero(~um).astype(np.int32)
+    r._scans = {}       # the scan memo belongs to the tables it was proved on
+    return r
+
+
+def fault_rings():
+    """The damaged corpus: FAULT_TEXTS REPEATS times, each a new ring."""
+    rings = []
+    for _ in range(REPEATS):
+        for text in FAULT_TEXTS:
+            r = build_ring_text(text)
+            rings.append(corrupt_unit_scan(r, max(r.units)))
+    return rings
+
+
+def render_fault_corpus() -> str:
+    blocks = [render_checks([CHECKS[check_id](fault_rings())])
+              for check_id in CHECK_ORDER]
+    return "\n".join(blocks) + "\n"
+
+
+if __name__ == "__main__":
+    sys.stdout.write(render_fault_corpus())

@@ -81,6 +81,18 @@ def test_projection_check_peak_memory():
     assert peak <= 4 * n * n, peak
 
 
+def test_twin_build_peak_memory():
+    # a build with a live ring's tables compares them with the live ones in
+    # blocks of rows, near 8.1*n^2 bytes with its own two int32 tables;
+    # whole n x n comparisons peak near 9*n^2
+    n = 720
+    live = make_zn(n, cap=n)
+    twins = []
+    peak = _build_peak(lambda: twins.append(make_zn(n, cap=n)))
+    assert twins[0].mul is live.mul
+    assert peak <= 8.5 * n * n, peak
+
+
 def test_idealization_build_peak_memory():
     # int32 builds peak near 18*n^2 bytes, int64 ones near 50*n^2
     base = make_zn(64)
@@ -234,6 +246,24 @@ def test_twin_tables_share_the_live_proof(monkeypatch):
     lat = all_ideals(rq)
     assert lat is not all_ideals(z4)
     assert all(p.ring is rq for p in lat)
+
+
+def test_twins_share_the_proof_not_the_first_ring(monkeypatch):
+    gc.collect()                        # no Z6 of an earlier test is alive
+    first = make_zn(6)
+    units = first.units
+    first.units = frozenset()           # rebinding one ring's data reaches no twin
+    twin = make_zn(6)
+    assert twin.units is units
+    del first
+    gc.collect()
+    verified = []
+    verify = rings._verify_ring
+    monkeypatch.setattr(rings, "_verify_ring",
+                        lambda r: verified.append(r.text) or verify(r))
+    again = make_zn(6)
+    assert verified == []               # the live twin keeps the proof
+    assert again._scans is twin._scans and again.mul is twin.mul
 
 
 def _rejections(add, mul) -> list[str]:

@@ -30,6 +30,8 @@ from idealis.theorems import (
     zn_boundary_flagged,
 )
 
+from fault_corpus import GOLDEN as FAULT_GOLDEN, corrupt_unit_scan, render_fault_corpus
+
 DEFAULT_HASH = "5441a8e585026433c38f72b48bb670dee9d8b0409e9bbb7e87ad3ebd4031164b"
 
 
@@ -214,20 +216,8 @@ def test_build_corpus_default():
     assert rings[0].text == "Z2"
 
 
-def _corrupt_unit_scan(r, fake_nonunit):
-    """Test hook: damage the ring's derived unit data in place, as if the
-    unit scan over the multiplication table had gone wrong."""
-    um = r.unit_mask.copy()
-    um[fake_nonunit] = False
-    r.unit_mask = um
-    r.units = frozenset(int(u) for u in np.flatnonzero(um))
-    r.nonunits = np.flatnonzero(~um).astype(np.int32)
-    r._scans = {}       # the scan memo belongs to the tables it was proved on
-    return r
-
-
 def test_fault_injection_is_detected():
-    bad = _corrupt_unit_scan(make_zn(8), 7)
+    bad = corrupt_unit_scan(make_zn(8), 7)
     checks = run_checks([bad])
     failing = [c for c in checks if c.outcome == "fail"]
     assert failing
@@ -242,6 +232,14 @@ def test_fault_injection_is_detected():
     assert not all_proper_w1ap(bad)
     wit = non_w1ap_ideal(bad)
     assert wit is not None and wit.elements == (0, 4)
+
+
+def test_fault_corpus_matches_its_golden():
+    # the failure records, their order and the truncation past
+    # MAX_FAILURES, for every check, on rings with damaged unit data
+    golden = FAULT_GOLDEN.read_text(encoding="utf-8")
+    assert "further failures suppressed" in golden
+    assert render_fault_corpus() == golden
 
 
 def _assert_table_damage_is_refused(name: str, at: tuple[int, int], value: int,
