@@ -19,6 +19,15 @@ plane and 2-absorbing one (y, z) plane per x; _least_violations reads
 them row-major, so its first hit is the least violation. A weak
 violation is a strict one, so one pass finds both witnesses.
 
+The prime plane runs over the nonunits outside P that are their own
+least associate, read from the ring's associates. No prime violation
+uses a member of P, nor a unit, for a unit x puts y = x^-1*(x*y) in P.
+Multiplying x by a unit u keeps both conditions: u*x*y is in P iff x*y
+is, and u*x*y != 0 iff x*y != 0, and u*x is outside P iff x is. So
+replacing each coordinate of a violation by its least associate gives a
+violation that is lex-smaller or equal, strict or weak as it was, and
+both witnesses lie in the plane.
+
 The 2-absorbing planes draw x, y and z from sorted candidates, with y
 and z from x on. No violation uses a unit, for a unit x puts
 y*z = x^-1*(x*y*z) in P, nor a member of P, for such an x puts x*y in
@@ -128,9 +137,12 @@ def _least_violations(planes, zero: int):
 
 
 def _prime_planes(ring: FiniteRing, mask: np.ndarray):
-    every = np.arange(ring.size)
-    viol = mask[ring.mul] & ~mask[:, None] & ~mask[None, :]
-    yield (), every, every, viol, ring.mul
+    """The one (x, y) plane over the nonunits outside P that are their own
+    least associate."""
+    c = ring.nonunits[~mask[ring.nonunits]]
+    c = c[ring.associates[c] == c]
+    prods = ring.mul[np.ix_(c, c)]
+    yield (), c, c, mask[prods], prods
 
 
 def _two_absorbing_planes(ring: FiniteRing, mask: np.ndarray, c: np.ndarray):

@@ -136,18 +136,22 @@ def ideal_gen(ring: FiniteRing, gens: Iterable[int]) -> Ideal:
 
 def reduced_generators(ring: FiniteRing, elements: Sequence[int]) -> tuple[int, ...]:
     """Small generating set: greedily take the least element not yet
-    generated. Always nonempty; the zero ideal is presented as (0)."""
-    target = set(int(a) for a in elements)
+    generated. Always nonempty; the zero ideal is presented as (0).
+
+    The span is the ideal the generators so far generate, held as a
+    mask. Adjoining e adds the ideal (e) = {r*e}, and a sum of two ideals
+    is the set of sums of their members."""
+    rest = np.asarray(sorted(elements), dtype=np.intp)
+    span = np.zeros(ring.size, dtype=bool)
+    span[ring.zero] = True
     gens: list[int] = []
-    span = {ring.zero}
-    for e in sorted(target):
-        if e not in span:
-            gens.append(e)
-            mults = set(ring.mul[:, np.asarray(gens, dtype=np.intp)].ravel().tolist())
-            span = set(_additive_span(ring, mults).tolist())
-    if not gens:
-        gens = [ring.zero]
-    return tuple(gens)
+    while len(rest := rest[~span[rest]]):
+        e = int(rest[0])
+        gens.append(e)
+        principal = np.zeros(ring.size, dtype=bool)
+        principal[ring.mul[:, e]] = True
+        span[ring.add[span][:, principal]] = True
+    return tuple(gens) or (ring.zero,)
 
 
 def zero_ideal(ring: FiniteRing) -> Ideal:

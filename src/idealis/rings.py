@@ -42,7 +42,6 @@ from __future__ import annotations
 import os
 import weakref
 import zlib
-from functools import cached_property
 from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
@@ -75,12 +74,13 @@ class _Proven:
     every live ring built with those tables."""
 
     __slots__ = ("add", "mul", "neg", "unit_mask", "units", "nonunits",
-                 "scans", "__weakref__")
+                 "scans", "nonunit_products", "associates", "__weakref__")
 
     def __init__(self, r: FiniteRing):
         self.add, self.mul, self.neg = r.add, r.mul, r.neg
         self.unit_mask, self.units, self.nonunits = r.unit_mask, r.units, r.nonunits
         self.scans = r._scans
+        self.nonunit_products = self.associates = None     # filled on first use
 
 
 def element_cap() -> int:
@@ -102,7 +102,8 @@ class FiniteRing:
     """A verified finite commutative ring with identity. Each distinct
     table is verified in full; a build with a live ring's exact tables
     shares the _Proven record of their first verification: the tables,
-    neg, unit data and _scans.
+    neg, unit data and _scans, and nonunit_products and associates once
+    some twin has asked for them.
 
     Attributes:
         size: number of elements.
@@ -112,11 +113,13 @@ class FiniteRing:
         units: frozenset of unit indices.
         unit_mask: boolean array marking units.
         nonunits: sorted int array of nonunit indices (zero included).
-        nonunit_products (cached): (xy, ws, first): xy = mul on nonunit
-            pairs, ws its sorted distinct values, first[k] the row-major
-            index in xy of the first pair giving ws[k].
-        associates (cached): associates[x] is the least u*x over the
-            units u, n read-only int32 values.
+        nonunit_products (computed on first use, kept on _proven): (xy,
+            ws, first): xy = mul on nonunit pairs, ws its sorted distinct
+            values, first[k] the row-major index in xy of the first pair
+            giving ws[k].
+        associates (computed on first use, kept on _proven):
+            associates[x] is the least u*x over the units u, n read-only
+            int32 values.
         provenance: the construction expression.
         _scans: witnesses per verdict key, keyed by ideal elements.
         _proven: the _Proven record this ring shares with its twins.
@@ -197,21 +200,28 @@ class FiniteRing:
             raise AttributeError(f"FiniteRing.{name} is fixed once the ring exists")
         object.__setattr__(self, name, value)
 
-    @cached_property
+    @property
     def nonunit_products(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        xy = self.mul[np.ix_(self.nonunits, self.nonunits)]
-        ws, first = np.unique(xy, return_index=True)    # first occurrences
-        for a in (xy, ws, first):
-            a.setflags(write=False)
-        return xy, ws, first
+        return self._derived("nonunit_products", _nonunit_products)
 
-    @cached_property
+    @property
     def associates(self) -> np.ndarray:
         """associates[x] is the least u*x over the units u: the least
         member of x's associate class."""
-        least = self.mul[self.unit_mask].min(axis=0)
-        least.setflags(write=False)
-        return least
+        return self._derived("associates", _associates)
+
+    def _derived(self, name: str, compute):
+        """compute(self), kept on the _Proven record and so computed once
+        for all twins; a ring whose unit data was rebound after its build
+        gets its own value, uncached."""
+        proven = self._proven
+        if self.unit_mask is not proven.unit_mask or self.nonunits is not proven.nonunits:
+            return compute(self)
+        value = getattr(proven, name)
+        if value is None:
+            value = compute(self)
+            setattr(proven, name, value)
+        return value
 
     @property
     def text(self) -> str:
@@ -228,6 +238,22 @@ class FiniteRing:
 
     def __repr__(self) -> str:
         return f"FiniteRing({self.text}, size={self.size})"
+
+
+def _nonunit_products(r: FiniteRing) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    xy = r.mul[np.ix_(r.nonunits, r.nonunits)]
+    ws, first = np.unique(xy, return_index=True)    # first occurrences
+    for a in (xy, ws, first):
+        a.setflags(write=False)
+    return xy, ws, first
+
+
+def _associates(r: FiniteRing) -> np.ndarray:
+    rows = r.unit_mask.copy()
+    rows[r.one] = True      # so a ring whose unit data lost every unit still reduces
+    least = r.mul[rows].min(axis=0)
+    least.setflags(write=False)
+    return least
 
 
 def additive_generators(add: np.ndarray, zero: int) -> list[int]:

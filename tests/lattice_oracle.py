@@ -4,16 +4,18 @@ Each function follows the definition as directly as it can: the lattice
 closes the principal ideals under pairwise sums with np.unique,
 containment compares every pair of masks elementwise, covers test every
 pair for an ideal strictly between, products are computed pairwise
-with ideal_product, and the radical steps every element through its
-powers. IdealLattice and the lattice-read radical must agree with all
-of it.
+with ideal_product, the presentation generators come from a set-based
+greedy that closes all multiples of the generators so far under +
+after each new one, and the radical steps every element through its
+powers. IdealLattice, reduced_generators and the lattice-read radical
+must agree with all of it.
 """
 
 from typing import NamedTuple
 
 import numpy as np
 
-from idealis import FiniteRing, Ideal, ideal_gen, ideal_product, reduced_generators
+from idealis import FiniteRing, Ideal, ideal_gen, ideal_product
 
 
 class OracleLattice(NamedTuple):
@@ -46,6 +48,24 @@ def oracle_elements(ring: FiniteRing) -> list[tuple[int, ...]]:
     return sorted(by_key, key=lambda e: (len(e), e))
 
 
+def oracle_generators(ring: FiniteRing, elements: tuple[int, ...]) -> tuple[int, ...]:
+    """Take the least element outside the additive span of all multiples
+    of the generators so far, until the span holds every element."""
+    gens: list[int] = []
+    span = {ring.zero}
+    for e in sorted(elements):
+        if e not in span:
+            gens.append(e)
+            span = set(ring.mul[:, gens].ravel().tolist()) | {ring.zero}
+            while True:
+                arr = np.asarray(sorted(span), dtype=np.intp)
+                new = set(ring.add[np.ix_(arr, arr)].ravel().tolist())
+                if new <= span:
+                    break
+                span |= new
+    return tuple(gens) or (ring.zero,)
+
+
 def oracle_lattice(ring: FiniteRing) -> OracleLattice:
     elements = oracle_elements(ring)
     k = len(elements)
@@ -64,7 +84,7 @@ def oracle_lattice(ring: FiniteRing) -> OracleLattice:
         for j in range(i, k):
             p = ideal_product(ideals[i], ideals[j])
             table[i, j] = table[j, i] = index_of[p.elements]
-    generators = [reduced_generators(ring, els) for els in elements]
+    generators = [oracle_generators(ring, els) for els in elements]
     return OracleLattice(elements, generators, le, covers, maximal, table)
 
 

@@ -5,7 +5,7 @@ the prime pair and n^3 for the others, and its witness is the first
 index np.argwhere returns, which is the lexicographically least. The
 1-triple zeros are every index of their cube, in the same order. The
 scans in idealis.classify must agree with all of it. The cubes need n^3
-memory, so rings above 64 elements are checked against the per-x plane
+memory, so rings above 64 elements are checked against the plane
 searches at the end of this module instead.
 """
 
@@ -54,26 +54,35 @@ def oracle_triple_zeros(p: Ideal) -> list[tuple[int, int, int]]:
     return [tuple(int(a) for a in t) for t in np.argwhere(cube)]
 
 
-# Per-x plane searches for the 2-absorbing and 1-absorbing families, the
-# reference above 64 elements. They hold one (y, z) plane at a time, so
-# they run on rings of a few hundred elements, where the cubes above
-# would not fit.
+# Plane searches, the reference above 64 elements: the whole n x n plane
+# for the prime family, and one (y, z) plane per x for the 2-absorbing
+# and 1-absorbing families. They run on rings of a few hundred elements,
+# where the cubes above would not fit.
 
 
 def _least_plane_hits(planes, zero: int) -> tuple[tuple | None, tuple | None]:
-    """The strict and weak witnesses, first hits row-major."""
+    """The strict and weak witnesses, first hits row-major. A plane is
+    (head, ys, zs, viol, prods), head the coordinates before y and z."""
     strict = None
-    for x, ys, zs, viol, prods in planes:
+    for head, ys, zs, viol, prods in planes:
         if not viol.any():
             continue
         if strict is None:
             i, j = np.argwhere(viol)[0]
-            strict = (x, int(ys[i]), int(zs[j]))
+            strict = head + (int(ys[i]), int(zs[j]))
         weak = viol & (prods != zero)
         if weak.any():
             i, j = np.argwhere(weak)[0]
-            return strict, (x, int(ys[i]), int(zs[j]))
+            return strict, head + (int(ys[i]), int(zs[j]))
     return strict, None
+
+
+def plane_prime(p: Ideal) -> tuple[tuple | None, tuple | None]:
+    """The strict and weak prime witnesses, over every x and y."""
+    mask, mul = p.mask, p.ring.mul
+    every = np.arange(p.ring.size)
+    viol = mask[mul] & ~mask[:, None] & ~mask[None, :]
+    return _least_plane_hits([((), every, every, viol, mul)], p.ring.zero)
 
 
 def _two_absorbing_planes(p: Ideal):
@@ -86,7 +95,7 @@ def _two_absorbing_planes(p: Ideal):
         x_in = mask[xrow]
         plane = mul[xrow]
         viol = mask[plane] & ~x_in[:, None] & ~x_in[None, :] & ~yz_in
-        yield x, every, every, viol, plane
+        yield (x,), every, every, viol, plane
 
 
 def plane_two_absorbing(p: Ideal) -> tuple[tuple | None, tuple | None]:
@@ -105,7 +114,7 @@ def _one_absorbing_planes(p: Ideal):
         keep = ~mask[xy]
         if keep.any():
             plane = mul[np.ix_(xy[keep], zs)]
-            yield x, nu[keep], zs, mask[plane], plane
+            yield (x,), nu[keep], zs, mask[plane], plane
 
 
 def plane_one_absorbing(p: Ideal) -> tuple[tuple | None, tuple | None]:
@@ -118,7 +127,7 @@ def plane_triple_zeros(p: Ideal) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     1-triple zeros when P is weakly 1-absorbing prime."""
     empty = np.empty(0, dtype=np.intp)
     xs, ys, zs = [empty], [empty], [empty]
-    for x, yc, zc, viol, _ in _one_absorbing_planes(p):
+    for (x,), yc, zc, viol, _ in _one_absorbing_planes(p):
         yi, zi = np.nonzero(viol)
         xs.append(np.full(len(yi), x, dtype=np.intp))
         ys.append(yc[yi])

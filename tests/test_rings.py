@@ -23,6 +23,7 @@ from idealis import (
     NotPrime,
     ZeroInS,
     all_ideals,
+    build_corpus,
     classify,
     ideal_gen,
     make_idealization,
@@ -31,6 +32,7 @@ from idealis import (
     make_product,
     make_quotient,
     make_zn,
+    run_checks,
     zero_ideal,
     zn_isomorphism,
 )
@@ -264,6 +266,38 @@ def test_twins_share_the_proof_not_the_first_ring(monkeypatch):
     again = make_zn(6)
     assert verified == []               # the live twin keeps the proof
     assert again._scans is twin._scans and again.mul is twin.mul
+
+
+def test_twins_derive_nonunit_products_and_associates_once(monkeypatch):
+    """Over a pass of every check on the default corpus, each distinct
+    table pair gets one computation of each, however many twins ask.
+    Every ring that computed one is kept alive, so its record is too."""
+    computed = {}
+    alive = []
+    for name in ("_nonunit_products", "_associates"):
+        keys = computed[name] = []
+
+        def counted(r, compute=getattr(rings, name), keys=keys):
+            keys.append((r.zero, r.one, r.add.tobytes(), r.mul.tobytes()))
+            alive.append(r)
+            return compute(r)
+        monkeypatch.setattr(rings, name, counted)
+    run_checks(build_corpus())
+    for name, keys in computed.items():
+        assert len(keys) == len(set(keys)) > 200, (name, len(keys), len(set(keys)))
+
+
+def test_rebound_unit_data_derives_its_own_values():
+    z6 = make_zn(6)
+    twin = make_zn(6)
+    shared = z6.nonunit_products, z6.associates
+    twin.unit_mask = np.zeros(6, dtype=bool)     # as a fault hook would: no unit left
+    twin.nonunits = np.arange(6, dtype=np.int32)
+    assert np.array_equal(twin.nonunit_products[0], twin.mul)
+    assert twin.associates.tolist() == list(range(6))
+    assert twin.associates.dtype == np.int32 and not twin.associates.flags.writeable
+    assert make_zn(6).nonunit_products is shared[0]
+    assert make_zn(6).associates is shared[1]
 
 
 def _rejections(add, mul) -> list[str]:

@@ -4,12 +4,13 @@ On every default-corpus ring of at most 64 elements and on Hypothesis-
 drawn rings, every proper ideal must get the oracle's six witnesses
 and, when it is weakly 1-absorbing prime, the oracle's 1-triple zeros.
 The six conditions of tmm_characterize must all equal its w1ap verdict.
-Above the cubes' 64 elements, the 2-absorbing scan and the 1-absorbing
-table must agree with the per-x plane searches on rings of up to 256
-elements, and so must the weak 2-absorbing search on the corpus ideals
-it finds hardest. The 2-absorbing candidate counts on those rings are
-pinned. Quotients that share a live ring's tables, and equal ideals
-built outside the lattice, read the witnesses of one shared scan.
+Above the cubes' 64 elements, the prime scan, the 2-absorbing scan and
+the 1-absorbing table must agree with the plane searches on rings of up
+to 256 elements, the prime scan also on Z720 and Z1024, and so must the
+weak 2-absorbing search on the corpus ideals it finds hardest. The
+prime and 2-absorbing candidate counts on those rings are pinned.
+Quotients that share a live ring's tables, and equal ideals built
+outside the lattice, read the witnesses of one shared scan.
 """
 
 import importlib
@@ -26,8 +27,10 @@ from idealis import (
     classify,
     find_one_triple_zeros,
     is_one_absorbing_prime,
+    is_prime,
     is_two_absorbing,
     is_weakly_one_absorbing_prime,
+    is_weakly_prime,
     is_weakly_two_absorbing,
     make_quotient,
     tmm_characterize,
@@ -38,6 +41,7 @@ from scan_oracle import (
     oracle_triple_zeros,
     oracle_witnesses,
     plane_one_absorbing,
+    plane_prime,
     plane_triple_zeros,
     plane_two_absorbing,
 )
@@ -111,6 +115,40 @@ LARGE_RINGS = (
     "Idealize(Z64, (4))",
     "Z720/(120)",
 )
+
+
+def test_prime_scan_matches_plane_on_large_rings():
+    ideals = 0
+    for text in LARGE_RINGS + ("Z720", "Z1024"):
+        for p in all_ideals(build_ring_text(text)).proper:
+            where = (text, p.elements)
+            strict, weak = plane_prime(p)
+            assert is_prime(p).witness == strict, where
+            assert is_weakly_prime(p).witness == weak, where
+            ideals += text in LARGE_RINGS
+    assert ideals == 207
+
+
+def test_prime_candidate_counts_on_large_rings(monkeypatch):
+    """Candidates the prime scan gives its plane, summed over the proper
+    ideals of LARGE_RINGS. The whole n x n plane had 36801 (the sum of
+    n); counts, unlike times, hold on any host."""
+    scans = importlib.import_module("idealis.classify")
+    planes = scans._prime_planes
+    sizes = []
+
+    def counted(ring, mask):
+        for plane in planes(ring, mask):
+            sizes.append(len(plane[1]))
+            yield plane
+    monkeypatch.setattr(scans, "_prime_planes", counted)
+    ideals = 0
+    for text in LARGE_RINGS:
+        ring = build_ring_text(text)
+        for p in all_ideals(ring).proper:
+            scans._scan_prime(ring, p.mask)     # past the scan memo
+            ideals += 1
+    assert (ideals, sum(sizes)) == (207, 5560)
 
 
 def test_two_absorbing_scan_matches_planes_on_large_rings():
