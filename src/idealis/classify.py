@@ -14,9 +14,11 @@ Every predicate returns its verdict together with the lexicographically
 least violating tuple when the verdict is False. Zero counts as a
 nonunit.
 
-Each strict/weak pair is one family. Prime yields the single (x, y)
-plane and 2-absorbing one (y, z) plane per x; _least_violations reads
-them row-major, so its first hit is the least violation. A weak
+Each strict/weak pair is one family. Every family lays its violation
+tables out so that row-major order is lex order of the candidates: one
+(x, y) table for prime, one (y, z) table per x for 2-absorbing, and one
+(x*y, z) table for 1-absorbing. So one reader, rings._first_hit, gives
+every witness, strict and weak, as the first row-major hit. A weak
 violation is a strict one, so one pass finds both witnesses.
 
 The prime plane runs over the nonunits outside P that are their own
@@ -63,9 +65,9 @@ The 1-absorbing condition sees nonunits x, y only through w = x*y: its
 table has a row per such w outside P (w in P satisfies the
 disjunction), a column per nonunit z outside P and a hit where w*z is
 in P. The ring's nonunit_products gives each w its first row-major
-pair. The least pair with a hit is the least first pair over the hit
-rows, so it and the first hit of its row are the witness; the hits are
-the 1-triple zeros.
+pair, with the rows in the order of those first pairs. The least pair
+with a hit is then the first pair of the first hit row, so the first
+row-major hit is the witness; the hits are the 1-triple zeros.
 """
 
 from __future__ import annotations
@@ -77,7 +79,7 @@ import numpy as np
 
 from .errors import ImproperIdeal, NotW1AP
 from .ideals import Ideal, all_ideals
-from .rings import FiniteRing, coset_least
+from .rings import FiniteRing, _first_hit, coset_least
 
 
 class Verdict(NamedTuple):
@@ -115,38 +117,16 @@ def _require_proper(p: Ideal) -> None:
         raise ImproperIdeal(f"classification needs a proper ideal of {p.ring.text}")
 
 
-def _least_violations(planes, zero: int):
-    """Lex-least strict and weak violation over planes in lex order.
-
-    A plane is (head, ys, zs, viol, prods): the coordinates it shares,
-    the candidates along its two axes, its violation mask, and the
-    products that make a violation weak when nonzero.
-    """
-    strict = None
-    for head, ys, zs, viol, prods in planes:
-        if not viol.any():
-            continue
-        if strict is None:
-            i, j = np.argwhere(viol)[0]
-            strict = head + (int(ys[i]), int(zs[j]))
-        wv = viol & (prods != zero)
-        if wv.any():
-            i, j = np.argwhere(wv)[0]
-            return strict, head + (int(ys[i]), int(zs[j]))
-    return strict, None
-
-
-def _prime_planes(ring: FiniteRing, mask: np.ndarray):
-    """The one (x, y) plane over the nonunits outside P that are their own
-    least associate."""
+def _prime_candidates(ring: FiniteRing, mask: np.ndarray) -> np.ndarray:
+    """The nonunits outside P that are their own least associate."""
     c = ring.nonunits[~mask[ring.nonunits]]
-    c = c[ring.associates[c] == c]
-    prods = ring.mul[np.ix_(c, c)]
-    yield (), c, c, mask[prods], prods
+    return c[ring.associates[c] == c]
 
 
 def _two_absorbing_planes(ring: FiniteRing, mask: np.ndarray, c: np.ndarray):
-    """One (y, z) plane per x in the sorted candidates c, y and z from x on."""
+    """(x, tail, viol, plane) per x in the sorted candidates c: tail the
+    candidates from x on, viol the (y, z) violations over tail x tail and
+    plane = x*y*z."""
     mul = ring.mul
     cc = mul[np.ix_(c, c)]             # x*y over c x c
     cc_in = mask[cc]
@@ -155,14 +135,15 @@ def _two_absorbing_planes(ring: FiniteRing, mask: np.ndarray, c: np.ndarray):
         x_in = cc_in[a, a:]            # x*y in P, and x*z in P via the same row
         plane = mul[np.ix_(cc[a, a:], tail)]    # [y, z] = x*y*z
         viol = mask[plane] & ~x_in[:, None] & ~x_in[None, :] & ~cc_in[a:, a:]
-        yield (x,), tail, tail, viol, plane
+        yield x, tail, viol, plane
 
 
 class _OneAbsorbingTable(NamedTuple):
     """The 1-absorbing candidates: nonunits nu, zs those outside P,
-    xy = nu*nu, ws the sorted xy outside P with first the row-major
-    index in xy of the first pair giving each and row[w] the row of w
-    (len(ws) for w in P), and hits where prods = ws*zs lie in P."""
+    xy = nu*nu, ws the xy outside P in first-occurrence order with first
+    the row-major index in xy of the first pair giving each and row[w]
+    the row of w (len(ws) for w in P), and hits where prods = ws*zs lie
+    in P."""
     nu: np.ndarray
     zs: np.ndarray
     ws: np.ndarray
@@ -185,15 +166,6 @@ class _OneAbsorbingTable(NamedTuple):
         prods = ring.mul[np.ix_(ws, zs)]
         return cls(nu, zs, ws, xy, first, row, prods, mask[prods])
 
-    def first_violation(self, viol: np.ndarray):
-        rows = np.flatnonzero(viol.any(axis=1))
-        if not len(rows):
-            return None
-        r = rows[np.argmin(self.first[rows])]
-        i, j = divmod(int(self.first[r]), len(self.nu))
-        z = self.zs[np.argmax(viol[r])]
-        return int(self.nu[i]), int(self.nu[j]), int(z)
-
     def triple_zeros(self):
         """The 1-triple zeros as parallel x, y, z arrays in lex order:
         every pair with a hit, once per hit of its row. P must be weakly
@@ -212,7 +184,11 @@ class _OneAbsorbingTable(NamedTuple):
 
 
 def _scan_prime(ring: FiniteRing, mask: np.ndarray):
-    return _least_violations(_prime_planes(ring, mask), ring.zero)
+    c = _prime_candidates(ring, mask)
+    prods = ring.mul[np.ix_(c, c)]
+    viol = mask[prods]
+    hits = _first_hit(viol), _first_hit(viol & (prods != ring.zero))
+    return tuple(None if h is None else (int(c[h[0]]), int(c[h[1]])) for h in hits)
 
 
 def _scan_two_absorbing(ring: FiniteRing, mask: np.ndarray):
@@ -222,26 +198,36 @@ def _scan_two_absorbing(ring: FiniteRing, mask: np.ndarray):
     orbit = orbit[assoc]               # least member of the cosets u*x + P
     c = ring.nonunits[~mask[ring.nonunits]]
     strict, seen = None, np.zeros(ring.size, dtype=bool)
-    for (x,), ys, _, viol, _ in _two_absorbing_planes(ring, mask, c[orbit[c] == c]):
+    for x, tail, viol, _ in _two_absorbing_planes(ring, mask, c[orbit[c] == c]):
         rows = viol.any(axis=1)        # viol is symmetric: rows are columns
         if rows.any():
             if strict is None:
-                i = int(rows.argmax())
-                strict = (x, int(ys[i]), int(ys[viol[i].argmax()]))
+                i, j = _first_hit(viol)
+                strict = (x, int(tail[i]), int(tail[j]))
             seen[x] = True
-            seen[ys[rows]] = True
+            seen[tail[rows]] = True
     if strict is None or np.count_nonzero(mask) == 1:      # no hit, or P = 0
         return strict, None
-    planes = _two_absorbing_planes(ring, mask, c[seen[orbit[c]] & (assoc[c] == c)])
-    return strict, _least_violations(planes, ring.zero)[1]
+    weak_c = c[seen[orbit[c]] & (assoc[c] == c)]
+    for x, tail, viol, plane in _two_absorbing_planes(ring, mask, weak_c):
+        hit = _first_hit(viol & (plane != ring.zero))
+        if hit is not None:
+            return strict, (x, int(tail[hit[0]]), int(tail[hit[1]]))
+    return strict, None
 
 
 def _scan_one_absorbing(ring: FiniteRing, mask: np.ndarray):
     t = _OneAbsorbingTable.build(ring, mask)
     if not t.hits.any():
         return None, None
-    weak = t.hits & (t.prods != ring.zero)
-    return t.first_violation(t.hits), t.first_violation(weak)
+    wits = []
+    for viol in (t.hits, t.hits & (t.prods != ring.zero)):
+        hit = _first_hit(viol)         # in the hit row with the least first
+        if hit is not None:
+            x, y = divmod(int(t.first[hit[0]]), len(t.nu))
+            hit = int(t.nu[x]), int(t.nu[y]), int(t.zs[hit[1]])
+        wits.append(hit)
+    return tuple(wits)
 
 
 # each scan handles one key pair: asking for either member runs the scan once

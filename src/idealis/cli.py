@@ -76,7 +76,8 @@ def _input_hash(lines: list[str]) -> str:
 def classification_report(ring: FiniteRing, ideals: list[Ideal],
                           hash_lines: list[str]) -> dict:
     lat = all_ideals(ring)
-    edges = [[ideal_text(lat[i]), ideal_text(lat[j])] for i, j in lat.covers]
+    labels = [ideal_text(p) for p in lat]
+    edges = [[labels[i], labels[j]] for i, j in lat.covers]
     return {
         "ring": ring.text,
         "ringSize": ring.size,

@@ -114,9 +114,9 @@ class FiniteRing:
         unit_mask: boolean array marking units.
         nonunits: sorted int array of nonunit indices (zero included).
         nonunit_products (computed on first use, kept on _proven): (xy,
-            ws, first): xy = mul on nonunit pairs, ws its sorted distinct
-            values, first[k] the row-major index in xy of the first pair
-            giving ws[k].
+            ws, first): xy = mul on nonunit pairs, ws its distinct values
+            in first-occurrence order, first[k] the row-major index in xy
+            of the first pair giving ws[k], so first ascends.
         associates (computed on first use, kept on _proven):
             associates[x] is the least u*x over the units u, n read-only
             int32 values.
@@ -243,6 +243,8 @@ class FiniteRing:
 def _nonunit_products(r: FiniteRing) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     xy = r.mul[np.ix_(r.nonunits, r.nonunits)]
     ws, first = np.unique(xy, return_index=True)    # first occurrences
+    order = np.argsort(first)
+    ws, first = ws[order], first[order]
     for a in (xy, ws, first):
         a.setflags(write=False)
     return xy, ws, first
@@ -340,15 +342,22 @@ def _per_row(n: int, f) -> np.ndarray:
     return np.concatenate([f(rows) for rows in _row_blocks(n)])
 
 
+def _first_hit(viol: np.ndarray) -> tuple[int, int] | None:
+    """First row-major (row, column) where the 2-d mask viol is True, or
+    None."""
+    if not viol.any():
+        return None
+    return divmod(int(viol.argmax()), viol.shape[1])
+
+
 def _first_mismatch(n: int, lhs, rhs) -> tuple[int, int] | None:
     """First row-major (row, column) where the n x n tables lhs and rhs
     differ, or None. lhs(rows) and rhs(rows) build one block of rows at a
     time."""
     for rows in _row_blocks(n):
-        a, b = lhs(rows), rhs(rows)
-        if not np.array_equal(a, b):
-            i, j = np.argwhere(a != b)[0]
-            return rows.start + int(i), int(j)
+        hit = _first_hit(lhs(rows) != rhs(rows))
+        if hit is not None:
+            return rows.start + hit[0], hit[1]
     return None
 
 
@@ -382,7 +391,7 @@ class Homomorphism:
         self.mapping = f
         self.mapping.setflags(write=False)
         self.kernel = tuple(int(a) for a in np.flatnonzero(f == target.zero))
-        self.image = tuple(sorted(int(v) for v in set(f.tolist())))
+        self.image = tuple(np.unique(f).tolist())
 
     @property
     def is_injective(self) -> bool:
@@ -507,8 +516,9 @@ def make_localization(r: FiniteRing, s: Iterable[int],
     in_s = np.zeros(r.size, dtype=bool)
     in_s[s_idx] = True
     prods = r.mul[np.ix_(s_idx, s_idx)]
-    if not in_s[prods].all():
-        a, b = np.argwhere(~in_s[prods])[0]
+    outside = _first_hit(~in_s[prods])
+    if outside is not None:
+        a, b = outside
         raise NotMultClosed(
             f"{s_idx[a]}*{s_idx[b]} = {prods[a, b]} is not in S")
 

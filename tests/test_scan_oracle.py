@@ -7,8 +7,10 @@ The six conditions of tmm_characterize must all equal its w1ap verdict.
 Above the cubes' 64 elements, the prime scan, the 2-absorbing scan and
 the 1-absorbing table must agree with the plane searches on rings of up
 to 256 elements, the prime scan also on Z720 and Z1024, and so must the
-weak 2-absorbing search on the corpus ideals it finds hardest. The
-prime and 2-absorbing candidate counts on those rings are pinned.
+weak 2-absorbing search on the corpus ideals it finds hardest, and the
+1-absorbing table on the corpus ideals whose witness is not in the hit
+row of least x*y. The prime and 2-absorbing candidate counts on those
+rings are pinned.
 Quotients that share a live ring's tables, and equal ideals built
 outside the lattice, read the witnesses of one shared scan.
 """
@@ -130,18 +132,18 @@ def test_prime_scan_matches_plane_on_large_rings():
 
 
 def test_prime_candidate_counts_on_large_rings(monkeypatch):
-    """Candidates the prime scan gives its plane, summed over the proper
-    ideals of LARGE_RINGS. The whole n x n plane had 36801 (the sum of
-    n); counts, unlike times, hold on any host."""
+    """Candidates the prime scan builds its plane over, summed over the
+    proper ideals of LARGE_RINGS. The whole n x n plane had 36801 (the
+    sum of n); counts, unlike times, hold on any host."""
     scans = importlib.import_module("idealis.classify")
-    planes = scans._prime_planes
+    candidates = scans._prime_candidates
     sizes = []
 
     def counted(ring, mask):
-        for plane in planes(ring, mask):
-            sizes.append(len(plane[1]))
-            yield plane
-    monkeypatch.setattr(scans, "_prime_planes", counted)
+        c = candidates(ring, mask)
+        sizes.append(len(c))
+        return c
+    monkeypatch.setattr(scans, "_prime_candidates", counted)
     ideals = 0
     for text in LARGE_RINGS:
         ring = build_ring_text(text)
@@ -259,3 +261,33 @@ def test_one_absorbing_table_matches_planes_on_large_rings():
             assert all(np.array_equal(g, w) for g, w in zip(got, want)), where
             triples += len(want[0])
     assert (w1ap, triples) == (46, 8352882)
+
+
+def test_one_absorbing_witness_outside_the_least_hit_row():
+    """The 1-absorbing table orders its rows w = x*y by the first pair
+    giving each w, so its first row-major hit is the least witness.
+    These are the corpus ideals whose strict or weak witness has an x*y
+    above the least w with a hit of that kind: reading the rows in order
+    of w would report a pair that is not the least."""
+    cases, strict, weak = [], 0, 0
+    for ring in build_corpus():
+        nu = ring.nonunits
+        for p in all_ideals(ring).proper:
+            mask = p.mask
+            ws = np.unique(ring.mul[np.ix_(nu, nu)])
+            ws = ws[~mask[ws]]
+            prods = ring.mul[np.ix_(ws, nu[~mask[nu]])]
+            hits = mask[prods]
+            want = plane_one_absorbing(p)
+            above = [wit is not None and ring.mul[wit[0], wit[1]] != ws[viol.any(axis=1)][0]
+                     for wit, viol in zip(want, (hits, hits & (prods != ring.zero)))]
+            if not any(above):
+                continue
+            where = (ring.text, p.elements)
+            assert is_one_absorbing_prime(p).witness == want[0], where
+            assert is_weakly_one_absorbing_prime(p).witness == want[1], where
+            cases.append((*where, *want))
+            strict += above[0]
+            weak += above[1]
+    assert (len(cases), strict, weak) == (183, 106, 130)
+    assert cases[3] == ("Z12", (0, 6), (2, 2, 3), (3, 3, 2))
