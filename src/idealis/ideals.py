@@ -13,7 +13,9 @@ containing I, and the Jacobson radical is the radical of 0.
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
+from itertools import zip_longest
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -258,25 +260,43 @@ class IdealLattice:
         return self.index_of[ideal.elements]
 
 
-def all_ideals(ring: FiniteRing, cap: int = LATTICE_CAP) -> IdealLattice:
-    """Every ideal, cached on the ring.
+def _idempotents(ring: FiniteRing) -> np.ndarray:
+    """The e with e*e = e, in ascending order: one read of the diagonal."""
+    return np.flatnonzero(np.diagonal(ring.mul) == np.arange(ring.size))
 
-    The principal ideal (a) = {r*a} of every element is built as a
-    boolean mask, deduplicated by its bytes. Every ideal is a finite sum
-    of principal ideals, and each (a) is additively closed, so closing
-    that set under "+ (a)" alone, skipping every (a) an ideal already
-    contains, finds them all; a sum of ideals is an ideal, so none is
+
+def _primitive_idempotents(ring: FiniteRing) -> np.ndarray:
+    """The primitive idempotents: the nonzero idempotents e with no other
+    nonzero idempotent f below them (f*e = f), in ascending order.
+
+    They are orthogonal and sum to 1, and the ring is the product of
+    the local rings A*e (Atiyah-Macdonald, Thm 8.7).
+    """
+    idem = _idempotents(ring)
+    idem = idem[idem != ring.zero]
+    below = ring.mul[np.ix_(idem, idem)] == idem    # [i, j]: f_j * e_i == f_j
+    return idem[below.sum(axis=1) == 1]
+
+
+def _principal_closure(ring: FiniteRing, seeds: Sequence[int],
+                       multiples: np.ndarray, cap: int,
+                       ) -> list[tuple[np.ndarray, tuple[int, ...]]]:
+    """(mask, generators) of every ideal that is a sum of principal
+    ideals (a), a in seeds; multiples[i] lists r*seeds[i] over every r.
+
+    Each (a) is built as a boolean mask, deduplicated by its bytes.
+    Each (a) is additively closed, so closing the principal ideals
+    under "+ (a)" alone, skipping every (a) an ideal already contains,
+    finds every such sum; a sum of ideals is an ideal, so none is
     checked again. The cap is checked on the principal ideals and again
     as each ideal that is not principal is found.
     """
-    if ring._lattice is not None:
-        return ring._lattice
     n = ring.size
-    principal = np.zeros((n, n), dtype=bool)
-    principal[np.arange(n)[:, None], ring.mul.T] = True
+    principal = np.zeros((len(seeds), n), dtype=bool)
+    principal[np.arange(len(seeds))[:, None], multiples] = True
     found: dict[bytes, tuple[np.ndarray, tuple[int, ...]]] = {}
-    for a in range(n):
-        found.setdefault(principal[a].tobytes(), (principal[a], (a,)))
+    for a, row in zip(seeds, principal):
+        found.setdefault(row.tobytes(), (row, (int(a),)))
     if len(found) > cap:
         raise LatticeCapExceeded(f"more than {cap} ideals in {ring.text}")
     pmasks = np.stack([m for m, _ in found.values()])
@@ -296,8 +316,57 @@ def all_ideals(ring: FiniteRing, cap: int = LATTICE_CAP) -> IdealLattice:
                         f"more than {cap} ideals in {ring.text}")
                 found[key] = (s, gens + (pgens[b],))
                 worklist.append(found[key])
-    entries = sorted(found.values(),
-                     key=lambda e: (int(e[0].sum()), (~e[0]).tobytes()))
+    return list(found.values())
+
+
+def all_ideals(ring: FiniteRing, cap: int = LATTICE_CAP) -> IdealLattice:
+    """Every ideal, cached on the ring.
+
+    The ring is the product of the local rings A*e over its primitive
+    idempotents e, which are orthogonal and sum to 1. So every ideal I
+    is the sum of its parts I*e, each an ideal of A*e, and a is in I iff
+    a*e is in I*e for every e. The lattice is therefore the product of
+    the local lattices: `_principal_closure` enumerates the ideals
+    inside A*e from the principal ideals (a), a in A*e, and each choice
+    of one local ideal per e gives the member whose mask is the AND over
+    e of local_mask_e[a*e]. A local ring has the one factor e = 1 and is
+    closed over all its principal ideals directly. The lattice size is
+    the product of the local sizes, so the cap is checked before any
+    member mask is built.
+
+    A member's generators are the local generator tuples summed
+    position by position (a missing position reads as 0): with g_i the
+    sum of the g_{e,i} in A*e, g_i*e = g_{e,i}, so the sums generate the
+    member, and a member has one generator exactly when every part, and
+    so the member, is principal.
+
+    Members are sorted by size, then by `(~mask).tobytes()`, a key of
+    the element set alone, so the order, and every byte printed from
+    it, does not depend on how the members were found.
+    """
+    if ring._lattice is not None:
+        return ring._lattice
+    n = ring.size
+    prims = _primitive_idempotents(ring)
+    if len(prims) < 2:
+        entries = _principal_closure(ring, range(n), ring.mul.T, cap)
+    else:
+        parts = []
+        for e in prims:
+            seeds = np.unique(ring.mul[:, e])
+            parts.append((e, _principal_closure(ring, seeds, ring.mul.T[seeds], cap)))
+        if math.prod(len(local) for _, local in parts) > cap:
+            raise LatticeCapExceeded(f"more than {cap} ideals in {ring.text}")
+        masks = np.ones((1, n), dtype=bool)
+        spanning: list[tuple[int, ...]] = [()]
+        for e, local in parts:
+            at_e = np.stack([m for m, _ in local])[:, ring.mul[:, e]]
+            masks = (masks[:, None] & at_e).reshape(-1, n)
+            spanning = [tuple(int(ring.add[a, b]) for a, b in
+                              zip_longest(g, h, fillvalue=ring.zero))
+                        for g in spanning for _, h in local]
+        entries = list(zip(masks, spanning))
+    entries.sort(key=lambda e: (int(e[0].sum()), (~e[0]).tobytes()))
     ideals = [Ideal._trusted(ring, np.flatnonzero(m)) for m, _ in entries]
     lattice = IdealLattice(ring, ideals, [g for _, g in entries])
     ring._lattice = lattice
@@ -378,7 +447,10 @@ def is_reduced(ring: FiniteRing) -> bool:
 
 
 def is_quasi_local(ring: FiniteRing) -> bool:
-    return len(all_ideals(ring).maximal_indices) == 1
+    """One maximal ideal. A finite ring is the product of the local rings
+    A*e over its primitive idempotents e, so it is local iff 1 is the
+    only one, that is, iff 0 and 1 != 0 are its only idempotents."""
+    return len(_idempotents(ring)) == 2
 
 
 def is_field(ring: FiniteRing) -> bool:

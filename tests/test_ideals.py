@@ -179,6 +179,16 @@ def test_lattice_cap_with_only_principal_ideals():
             all_ideals(ring, cap=5)
 
 
+def test_lattice_cap_on_the_product_of_local_lattices():
+    # Z2^8 is the product of 8 local lattices of 2 ideals each
+    boolean = make_zn(2)
+    for _ in range(7):
+        boolean = make_product(boolean, make_zn(2))
+    with pytest.raises(LatticeCapExceeded):
+        all_ideals(boolean, cap=255)
+    assert len(all_ideals(boolean, cap=256)) == 256
+
+
 def test_lattice_cached_on_ring():
     r = make_zn(30)
     assert all_ideals(r) is all_ideals(r)

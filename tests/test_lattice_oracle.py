@@ -1,10 +1,14 @@
 """IdealLattice against the brute-force reference in lattice_oracle.
 
-On the default corpus and on Hypothesis-drawn rings of at most 64
-elements, both must give the same ideals in the same order, the same
-generators, and the same containment matrix, covers, maximal ideals and
-product table. The spanning sets the product table reads must generate
-their ideals. The radicals, the Jacobson radical, reducedness and the
+On the default corpus, on Hypothesis-drawn rings of at most 64
+elements and on LARGE_RINGS, both must give the same ideals in the same
+order, the same generators, and the same containment matrix, covers,
+maximal ideals and product table. The spanning sets the product table
+reads must generate their ideals, with one generator exactly when the
+ideal is principal, and is_quasi_local must agree with the maximal
+ideals. On LARGE_RINGS, the number of primitive idempotents is pinned,
+and the lattice size is the product over them of the number of ideals
+inside A*e. The radicals, the Jacobson radical, reducedness and the
 squares and cubes that the checks read from the lattice must match the
 power loop and repeated ideal_product.
 """
@@ -17,13 +21,16 @@ from idealis import (
     all_ideals,
     build_corpus,
     build_ring,
+    build_ring_text,
     ideal_gen,
     ideal_product,
+    is_quasi_local,
     is_reduced,
     jacobson_radical,
     radical,
 )
 from idealis.expr import Idealize, LocalAlg, Localize, Product, Quotient, Zn
+from idealis.ideals import _primitive_idempotents
 from idealis.theorems import _power_is_zero
 from lattice_oracle import oracle_lattice, oracle_radical
 
@@ -36,16 +43,51 @@ def assert_matches_oracle(ring):
     assert [p.elements for p in lat] == ref.elements, ring.text
     assert [p.generators for p in lat] == ref.generators, ring.text
     assert [ideal_gen(ring, g) for g in lat.spanning] == lat.ideals, ring.text
+    principal = {tuple(np.unique(ring.mul[:, a]).tolist()) for a in range(ring.size)}
+    assert ([len(g) == 1 for g in lat.spanning]
+            == [els in principal for els in ref.elements]), ring.text
+    assert is_quasi_local(ring) == (len(ref.maximal_indices) == 1), ring.text
     assert np.array_equal(lat.le, ref.le), ring.text
     assert lat.covers == ref.covers, ring.text
     assert lat.maximal_indices == ref.maximal_indices, ring.text
     assert lat.product_table.dtype == ref.product_table.dtype
     assert np.array_equal(lat.product_table, ref.product_table), ring.text
+    return ref
 
 
 def test_default_corpus_matches_oracle():
     for ring in build_corpus():
         assert_matches_oracle(ring)
+
+
+# The 8 rings of the classify_large benchmark workload and four larger
+# rings, with their number of primitive idempotents: one local factor
+# for each prime power of Z_n, and 1 for a local ring.
+LARGE_RINGS = {
+    "Z4 x Z60": 4,
+    "Z240": 3,
+    "Z16 x Z16": 2,
+    "Z9 x Z27": 2,
+    "Z2 x Z2 x Z2 x Z2 x Z2 x Z2": 6,
+    "LocalAlg(5)": 1,
+    "Idealize(Z64, (4))": 1,
+    "Z720/(120)": 3,
+    "Z720": 3,
+    "Z1024": 1,
+    "Z8 x Z90": 4,
+    "Z2 x Z2 x Z2 x Z2 x Z2 x Z2 x Z2 x Z2": 8,
+}
+
+
+def test_large_rings_match_oracle():
+    for text, count in LARGE_RINGS.items():
+        ring = build_ring_text(text)
+        elements = [set(els) for els in assert_matches_oracle(ring).elements]
+        prims = _primitive_idempotents(ring)
+        assert len(prims) == count, text
+        local_sizes = [sum(els <= set(ring.mul[:, e].tolist()) for els in elements)
+                       for e in prims]
+        assert len(all_ideals(ring)) == np.prod(local_sizes), text
 
 
 def assert_arithmetic_matches_oracle(ring):
