@@ -21,14 +21,16 @@ tables out so that row-major order is lex order of the candidates: one
 every witness, strict and weak, as the first row-major hit. A weak
 violation is a strict one, so one pass finds both witnesses.
 
+No condition of a family changes when a coordinate is multiplied by a
+unit u: u*w lies in P iff w does, and u*w != 0 iff w != 0. So replacing
+each coordinate of a violation by the least nonunit of its associate
+class gives a violation, strict or weak as it was, that is lex-smaller
+or equal as it stands for prime and 1-absorbing, and once sorted for
+2-absorbing.
+
 The prime plane runs over the nonunits outside P that are their own
 least associate, read from the ring's associates. No prime violation
 uses a member of P, nor a unit, for a unit x puts y = x^-1*(x*y) in P.
-Multiplying x by a unit u keeps both conditions: u*x*y is in P iff x*y
-is, and u*x*y != 0 iff x*y != 0, and u*x is outside P iff x is. So
-replacing each coordinate of a violation by its least associate gives a
-violation that is lex-smaller or equal, strict or weak as it was, and
-both witnesses lie in the plane.
 
 The 2-absorbing planes draw x, y and z from sorted candidates, with y
 and z from x on. No violation uses a unit, for a unit x puts
@@ -40,34 +42,35 @@ first row-major hit of the plane of its x.
 The units of A act on A/P by multiplication, and the orbit of x is the
 union of the cosets u*x + P. The strict condition sees x, y and z only
 through their orbits: whether x*y*z, x*y, x*z and y*z lie in P does not
-change when p in P is added to x, nor when x is multiplied by a unit u,
-for u*w lies in P iff w does. Replacing each coordinate of a violation
-by the least member of its orbit and sorting gives a violation that is
-lex-smaller or equal, so the strict search runs over the orbit
-representatives only: the nonunits outside P that are the least member
-of their orbit. An orbit with a violation holds no unit, so its least
-member is such a nonunit. That member is the least coset_least value
-over the associate class of x, read through the ring's associates in one
-pass over the elements.
+change when p in P is added to x, nor when x is multiplied by a unit.
+Replacing each coordinate of a violation by the least member of its
+orbit and sorting gives a violation that is lex-smaller or equal, so
+the strict search runs over the orbit representatives only: the
+nonunits outside P that are the least member of their orbit. An orbit
+with a violation holds no unit, so its least member is such a nonunit.
+That member is the least coset_least value over the associate class of
+x, read through the ring's associates in one pass over the elements.
 
 The weak condition x*y*z != 0 does not pass to cosets, but it passes to
-associates: u*x*y*z = 0 iff x*y*z = 0. So replacing each coordinate of a
-weak violation by its least associate and sorting gives a weak
-violation that is lex-smaller or equal, and the least one is made of
-elements that are their own least associate. A weak violation is a
-strict one, so each of its orbits holds a coordinate of a strict
-violation among the representatives. The strict search marks those
-orbits, and the weak search runs over their members that are their own
-least associate. It is skipped when there is no strict violation, and
-for P = 0, where 0 != x*y*z in P cannot hold.
+associates, so the least weak violation is made of elements that are
+their own least associate. A weak violation is a strict one, so each of
+its orbits holds a coordinate of a strict violation among the
+representatives. The strict search marks those orbits, and the weak
+search runs over their members that are their own least associate. It
+is skipped when there is no strict violation, and for P = 0, where
+0 != x*y*z in P cannot hold.
 
-The 1-absorbing condition sees nonunits x, y only through w = x*y: its
-table has a row per such w outside P (w in P satisfies the
-disjunction), a column per nonunit z outside P and a hit where w*z is
-in P. The ring's nonunit_products gives each w its first row-major
-pair, with the rows in the order of those first pairs. The least pair
-with a hit is then the first pair of the first hit row, so the first
-row-major hit is the witness; the hits are the 1-triple zeros.
+The 1-absorbing table runs over the reps of the ring's nonunit_classes,
+the least nonunit of each associate class: a row per rep product
+w = a*b outside P (w in P satisfies the disjunction), in the order of
+the first rep pair giving w, a column per rep z outside P and a hit
+where w*z is in P. The least pair with a hit is then the first pair of
+the first hit row, so the first row-major hit is the witness. A triple
+of nonunits is a violation exactly when its classes are, so the class
+cube of hits, gathered through ab, gives the 1-triple zeros; the checks
+that read it ask whether a product lies in an ideal, which no unit
+changes. Under damaged unit data the declared units are true units and
+the reps declared nonunits, so all of this still holds.
 """
 
 from __future__ import annotations
@@ -138,49 +141,27 @@ def _two_absorbing_planes(ring: FiniteRing, mask: np.ndarray, c: np.ndarray):
         yield x, tail, viol, plane
 
 
-class _OneAbsorbingTable(NamedTuple):
-    """The 1-absorbing candidates: nonunits nu, zs those outside P,
-    xy = nu*nu, ws the xy outside P in first-occurrence order with first
-    the row-major index in xy of the first pair giving each and row[w]
-    the row of w (len(ws) for w in P), and hits where prods = ws*zs lie
-    in P."""
-    nu: np.ndarray
-    zs: np.ndarray
-    ws: np.ndarray
-    xy: np.ndarray
-    first: np.ndarray
-    row: np.ndarray
-    prods: np.ndarray
-    hits: np.ndarray
+def _one_absorbing_table(ring: FiniteRing, mask: np.ndarray):
+    """(classes, rows, cols, prods, hits): the ring's nonunit_classes,
+    rows the indices in classes.ws of the rep products w outside P,
+    cols the indices in classes.reps of the reps z outside P, and hits
+    where prods = w*z lies in P."""
+    cl = ring.nonunit_classes
+    rows = np.flatnonzero(~mask[cl.ws])
+    cols = np.flatnonzero(~mask[cl.reps])
+    prods = ring.mul[np.ix_(cl.ws[rows], cl.reps[cols])]
+    return cl, rows, cols, prods, mask[prods]
 
-    @classmethod
-    def build(cls, ring: FiniteRing, mask: np.ndarray):
-        nu = ring.nonunits
-        xy, ws, first = ring.nonunit_products
-        out = ~mask[ws]
-        ws, first = ws[out], first[out]
-        zs = nu[~mask[nu]]
-        # an n-long lookup; return_inverse would sort the pairs again
-        row = np.full(ring.size, len(ws))
-        row[ws] = np.arange(len(ws))
-        prods = ring.mul[np.ix_(ws, zs)]
-        return cls(nu, zs, ws, xy, first, row, prods, mask[prods])
 
-    def triple_zeros(self):
-        """The 1-triple zeros as parallel x, y, z arrays in lex order:
-        every pair with a hit, once per hit of its row. P must be weakly
-        1-absorbing prime, so every hit has x*y*z = 0."""
-        per_row = self.hits.sum(axis=1)
-        i, j = np.nonzero(np.append(per_row > 0, False)[self.row][self.xy])
-        rows = self.row[self.xy[i, j]]
-        _, hit_cols = np.nonzero(self.hits)     # row by row, z ascending
-        counts = per_row[rows]
-        # the k-th triple of a pair takes the k-th hit of the pair's row
-        start = (np.cumsum(per_row) - per_row)[rows]
-        at = np.repeat(start - np.cumsum(counts) + counts, counts)
-        at += np.arange(len(at))
-        return (np.repeat(self.nu[i], counts), np.repeat(self.nu[j], counts),
-                self.zs[hit_cols[at]])
+def _triple_zero_classes(ring: FiniteRing, mask: np.ndarray):
+    """(classes, a, b, c): the class triples, as indices into
+    classes.reps in lex order, whose reps are a strict 1-absorbing
+    violation of P, read by gathering table rows through classes.ab."""
+    cl, rows, cols, _, hits = _one_absorbing_table(ring, mask)
+    of_w = np.zeros((ring.size, len(cols)), dtype=bool)    # w's row, or none
+    of_w[cl.ws[rows]] = hits
+    a, b, c = np.nonzero(of_w[cl.ab])       # the class cube hit[a, b, c]
+    return cl, a, b, cols[c]
 
 
 def _scan_prime(ring: FiniteRing, mask: np.ndarray):
@@ -217,15 +198,13 @@ def _scan_two_absorbing(ring: FiniteRing, mask: np.ndarray):
 
 
 def _scan_one_absorbing(ring: FiniteRing, mask: np.ndarray):
-    t = _OneAbsorbingTable.build(ring, mask)
-    if not t.hits.any():
-        return None, None
+    cl, rows, cols, prods, hits = _one_absorbing_table(ring, mask)
     wits = []
-    for viol in (t.hits, t.hits & (t.prods != ring.zero)):
+    for viol in (hits, hits & (prods != ring.zero)):
         hit = _first_hit(viol)         # in the hit row with the least first
         if hit is not None:
-            x, y = divmod(int(t.first[hit[0]]), len(t.nu))
-            hit = int(t.nu[x]), int(t.nu[y]), int(t.zs[hit[1]])
+            x, y = divmod(int(cl.first[rows[hit[0]]]), len(cl.reps))
+            hit = int(cl.reps[x]), int(cl.reps[y]), int(cl.reps[cols[hit[1]]])
         wits.append(hit)
     return tuple(wits)
 
@@ -342,8 +321,20 @@ def find_one_triple_zeros(p: Ideal) -> list[tuple[int, int, int]]:
     _require_proper(p)
     if not is_weakly_one_absorbing_prime(p).holds:
         raise NotW1AP(f"{p!r} is not weakly 1-absorbing prime")
-    xs, ys, zs = _OneAbsorbingTable.build(p.ring, p.mask).triple_zeros()
-    return [(int(a), int(b), int(c)) for a, b, c in zip(xs, ys, zs)]
+    ring = p.ring
+    cl, a, b, c = _triple_zero_classes(ring, p.mask)
+    nu, assoc = ring.nonunits, ring.associates
+    key = assoc[nu]                         # x's class, by its least associate
+    ka, kb, kc = (assoc[cl.reps[i]] for i in (a, b, c))
+    triples, tails = [], {}
+    for x, kx in zip(nu.tolist(), key.tolist()):
+        if kx not in tails:                 # the (y, z) of x's class, in lex order
+            hit = np.zeros((ring.size, ring.size), dtype=bool)
+            hit[kb[ka == kx], kc[ka == kx]] = True
+            y, z = np.nonzero(hit[np.ix_(key, key)])
+            tails[kx] = list(zip(nu[y].tolist(), nu[z].tolist()))
+        triples += [(x, y, z) for y, z in tails[kx]]
+    return triples
 
 
 # ---------------------------------------------------------------------------
@@ -372,9 +363,10 @@ def tmm_characterize(p: Ideal) -> dict[str, bool]:
 
     out = {"i": is_weakly_one_absorbing_prime(p).holds}
 
-    # (P : w) and (0 : w) for every w = x*y outside P, one row each
-    ws = ring.nonunit_products[1]
-    ws = ws[~mask[ws]]
+    # (P : w) and (0 : w) for every w = x*y outside P, one row each; no
+    # unit changes a condition, so rep products and reps stand for w and x
+    cl = ring.nonunit_classes
+    ws = cl.ws[~mask[cl.ws]]
     wz = mul[ws]
     col, ann = mask[wz], wz == zero
     out["ii"] = bool((col == (mask | ann)).all())
@@ -390,15 +382,17 @@ def tmm_characterize(p: Ideal) -> dict[str, bool]:
     # counting the q in Q with x*q outside P, and with x*q nonzero; the
     # set {x*i*j} lies in P iff x*(IJ) does, and is nonzero iff x*(IJ) is
     members, xnz = lat.member_products
-    xin = (~mask[mul]).astype(np.float32) @ members == 0
-    viol4 = xin[ws, :kp] & xnz[ws, :kp] & ~le_p[None, :kp]
+    keys = np.concatenate([ws, cl.reps])
+    xin = (~mask[mul[keys]]).astype(np.float32) @ members == 0
+    xnz = xnz[keys]
+    viol4 = xin[:len(ws), :kp] & xnz[:len(ws), :kp] & ~le_p[None, :kp]
     out["iv"] = not viol4.any()
 
     pt = lat.product_table
     pr = pt[:kp, :kp]
+    xin, xnz = xin[len(ws):], xnz[len(ws):]
     lhs = xnz[:, pr] & xin[:, pr]
-    viol5 = (lhs & ~xin[:, :kp, None] & ~le_p[None, None, :kp]
-             & ~ring.unit_mask[:, None, None])
+    viol5 = lhs & ~xin[:, :kp, None] & ~le_p[None, None, :kp]
     out["v"] = not viol5.any()
 
     prod3 = pt[pr][:, :, :kp]

@@ -278,11 +278,10 @@ def _primitive_idempotents(ring: FiniteRing) -> np.ndarray:
     return idem[below.sum(axis=1) == 1]
 
 
-def _principal_closure(ring: FiniteRing, seeds: Sequence[int],
-                       multiples: np.ndarray, cap: int,
+def _principal_closure(ring: FiniteRing, seeds: np.ndarray, cap: int,
                        ) -> list[tuple[np.ndarray, tuple[int, ...]]]:
     """(mask, generators) of every ideal that is a sum of principal
-    ideals (a), a in seeds; multiples[i] lists r*seeds[i] over every r.
+    ideals (a), a in the ascending seeds.
 
     Each (a) is built as a boolean mask, deduplicated by its bytes.
     Each (a) is additively closed, so closing the principal ideals
@@ -293,7 +292,7 @@ def _principal_closure(ring: FiniteRing, seeds: Sequence[int],
     """
     n = ring.size
     principal = np.zeros((len(seeds), n), dtype=bool)
-    principal[np.arange(len(seeds))[:, None], multiples] = True
+    principal[np.arange(len(seeds))[:, None], ring.mul[seeds]] = True
     found: dict[bytes, tuple[np.ndarray, tuple[int, ...]]] = {}
     for a, row in zip(seeds, principal):
         found.setdefault(row.tobytes(), (row, (int(a),)))
@@ -329,10 +328,12 @@ def all_ideals(ring: FiniteRing, cap: int = LATTICE_CAP) -> IdealLattice:
     the local lattices: `_principal_closure` enumerates the ideals
     inside A*e from the principal ideals (a), a in A*e, and each choice
     of one local ideal per e gives the member whose mask is the AND over
-    e of local_mask_e[a*e]. A local ring has the one factor e = 1 and is
-    closed over all its principal ideals directly. The lattice size is
-    the product of the local sizes, so the cap is checked before any
-    member mask is built.
+    e of local_mask_e[a*e]; a local ring has the one factor e = 1. The
+    lattice size is the product of the local sizes, so the cap is
+    checked before any member mask is built. Each closure is seeded
+    with the least associates in A*e only, as (a) = (u*a) for a unit u:
+    the least generator of (a) is its own least associate, and the
+    closure records the least seed of each (a), as over every a.
 
     A member's generators are the local generator tuples summed
     position by position (a missing position reads as 0): with g_i the
@@ -347,25 +348,21 @@ def all_ideals(ring: FiniteRing, cap: int = LATTICE_CAP) -> IdealLattice:
     if ring._lattice is not None:
         return ring._lattice
     n = ring.size
-    prims = _primitive_idempotents(ring)
-    if len(prims) < 2:
-        entries = _principal_closure(ring, range(n), ring.mul.T, cap)
-    else:
-        parts = []
-        for e in prims:
-            seeds = np.unique(ring.mul[:, e])
-            parts.append((e, _principal_closure(ring, seeds, ring.mul.T[seeds], cap)))
-        if math.prod(len(local) for _, local in parts) > cap:
-            raise LatticeCapExceeded(f"more than {cap} ideals in {ring.text}")
-        masks = np.ones((1, n), dtype=bool)
-        spanning: list[tuple[int, ...]] = [()]
-        for e, local in parts:
-            at_e = np.stack([m for m, _ in local])[:, ring.mul[:, e]]
-            masks = (masks[:, None] & at_e).reshape(-1, n)
-            spanning = [tuple(int(ring.add[a, b]) for a, b in
-                              zip_longest(g, h, fillvalue=ring.zero))
-                        for g in spanning for _, h in local]
-        entries = list(zip(masks, spanning))
+    parts = []
+    for e in _primitive_idempotents(ring):
+        seeds = np.unique(ring.associates[ring.mul[:, e]])
+        parts.append((e, _principal_closure(ring, seeds, cap)))
+    if math.prod(len(local) for _, local in parts) > cap:
+        raise LatticeCapExceeded(f"more than {cap} ideals in {ring.text}")
+    masks = np.ones((1, n), dtype=bool)
+    spanning: list[tuple[int, ...]] = [()]
+    for e, local in parts:
+        at_e = np.stack([m for m, _ in local])[:, ring.mul[:, e]]
+        masks = (masks[:, None] & at_e).reshape(-1, n)
+        spanning = [tuple(int(ring.add[a, b]) for a, b in
+                          zip_longest(g, h, fillvalue=ring.zero))
+                    for g in spanning for _, h in local]
+    entries = list(zip(masks, spanning))
     entries.sort(key=lambda e: (int(e[0].sum()), (~e[0]).tobytes()))
     ideals = [Ideal._trusted(ring, np.flatnonzero(m)) for m, _ in entries]
     lattice = IdealLattice(ring, ideals, [g for _, g in entries])

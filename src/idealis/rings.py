@@ -42,7 +42,7 @@ from __future__ import annotations
 import os
 import weakref
 import zlib
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 import numpy as np
 
@@ -74,13 +74,13 @@ class _Proven:
     every live ring built with those tables."""
 
     __slots__ = ("add", "mul", "neg", "unit_mask", "units", "nonunits",
-                 "scans", "nonunit_products", "associates", "__weakref__")
+                 "scans", "nonunit_classes", "associates", "__weakref__")
 
     def __init__(self, r: FiniteRing):
         self.add, self.mul, self.neg = r.add, r.mul, r.neg
         self.unit_mask, self.units, self.nonunits = r.unit_mask, r.units, r.nonunits
         self.scans = r._scans
-        self.nonunit_products = self.associates = None     # filled on first use
+        self.nonunit_classes = self.associates = None      # filled on first use
 
 
 def element_cap() -> int:
@@ -102,7 +102,7 @@ class FiniteRing:
     """A verified finite commutative ring with identity. Each distinct
     table is verified in full; a build with a live ring's exact tables
     shares the _Proven record of their first verification: the tables,
-    neg, unit data and _scans, and nonunit_products and associates once
+    neg, unit data and _scans, and nonunit_classes and associates once
     some twin has asked for them.
 
     Attributes:
@@ -113,10 +113,12 @@ class FiniteRing:
         units: frozenset of unit indices.
         unit_mask: boolean array marking units.
         nonunits: sorted int array of nonunit indices (zero included).
-        nonunit_products (computed on first use, kept on _proven): (xy,
-            ws, first): xy = mul on nonunit pairs, ws its distinct values
-            in first-occurrence order, first[k] the row-major index in xy
-            of the first pair giving ws[k], so first ascends.
+        nonunit_classes (computed on first use, kept on _proven): a
+            NonunitClasses of the nonunits' associate classes: reps, the
+            least nonunit of each, ascending; sizes, the nonunits in
+            each; ab = mul on reps x reps; ws, the distinct values of ab
+            in first-occurrence order; first[k], the row-major index in
+            ab of the first rep pair giving ws[k], so first ascends.
         associates (computed on first use, kept on _proven):
             associates[x] is the least u*x over the units u, n read-only
             int32 values.
@@ -201,8 +203,8 @@ class FiniteRing:
         object.__setattr__(self, name, value)
 
     @property
-    def nonunit_products(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return self._derived("nonunit_products", _nonunit_products)
+    def nonunit_classes(self) -> NonunitClasses:
+        return self._derived("nonunit_classes", _nonunit_classes)
 
     @property
     def associates(self) -> np.ndarray:
@@ -240,14 +242,28 @@ class FiniteRing:
         return f"FiniteRing({self.text}, size={self.size})"
 
 
-def _nonunit_products(r: FiniteRing) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    xy = r.mul[np.ix_(r.nonunits, r.nonunits)]
-    ws, first = np.unique(xy, return_index=True)    # first occurrences
+class NonunitClasses(NamedTuple):
+    """FiniteRing.nonunit_classes."""
+    reps: np.ndarray
+    sizes: np.ndarray
+    ab: np.ndarray
+    ws: np.ndarray
+    first: np.ndarray
+
+
+def _nonunit_classes(r: FiniteRing) -> NonunitClasses:
+    # nonunits ascend, so the first index of each class is its least member
+    _, at, sizes = np.unique(r.associates[r.nonunits], return_index=True,
+                             return_counts=True)
+    by_rep = np.argsort(at)
+    reps = r.nonunits[at[by_rep]]
+    ab = r.mul[np.ix_(reps, reps)]
+    ws, first = np.unique(ab, return_index=True)    # first occurrences
     order = np.argsort(first)
-    ws, first = ws[order], first[order]
-    for a in (xy, ws, first):
+    out = NonunitClasses(reps, sizes[by_rep], ab, ws[order], first[order])
+    for a in out:
         a.setflags(write=False)
-    return xy, ws, first
+    return out
 
 
 def _associates(r: FiniteRing) -> np.ndarray:

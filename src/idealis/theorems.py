@@ -28,7 +28,7 @@ import numpy as np
 
 from . import expr as ex
 from .classify import (
-    _OneAbsorbingTable,
+    _triple_zero_classes,
     is_one_absorbing_prime,
     is_prime,
     is_weakly_one_absorbing_prime,
@@ -327,7 +327,8 @@ def check_triple_zero_annihilation(rings: list[FiniteRing]) -> Instances:
     """Every 1-triple zero (x, y, z) of a weakly 1-absorbing prime ideal
     satisfies xyP = 0; triples with x, y outside (P : z) additionally
     force xzP = yzP = xP^2 = yP^2 = zP^2 = 0 and P^3 = 0. Weakly
-    1-absorbing prime ideals without a 1-triple zero are vacuous."""
+    1-absorbing prime ideals without a 1-triple zero are vacuous. Class
+    triples (see classify) stand for, and count, their member triples."""
     triples_seen = 0
     for r in rings:
         mul, zero = r.mul, r.zero
@@ -336,24 +337,22 @@ def check_triple_zero_annihilation(rings: list[FiniteRing]) -> Instances:
         for pi, p in enumerate(lat.proper):
             if not _w1ap(p):
                 continue
-            t = _OneAbsorbingTable.build(r, p.mask)
-            xs, ys, zs = t.triple_zeros()
-            if len(xs) == 0:
+            cl, a, b, c = _triple_zero_classes(r, p.mask)
+            if len(a) == 0:
                 yield VACUOUS
                 continue
-            triples_seen += len(xs)
-            parr = p.arr
-            uxy = t.ws[t.hits.any(axis=1)]      # x*y of every triple
-            if (mul[np.ix_(uxy, parr)] != zero).any():
+            triples_seen += int((cl.sizes[a] * cl.sizes[b] * cl.sizes[c]).sum())
+            parr, ab = p.arr, cl.ab
+            if (mul[np.ix_(np.unique(ab[a, b]), parr)] != zero).any():
                 yield r, p, "xyP != 0 for some 1-triple zero"
                 continue
-            sel = ~p.mask[mul[xs, zs]] & ~p.mask[mul[ys, zs]]
+            sel = ~p.mask[ab[a, c]] & ~p.mask[ab[b, c]]
             ok = True
             if sel.any():
+                a, b, c = a[sel], b[sel], c[sel]
                 p2 = pt[pi, pi]
-                xz_yz = np.unique(np.concatenate([mul[xs[sel], zs[sel]],
-                                                  mul[ys[sel], zs[sel]]]))
-                members = np.unique(np.concatenate([xs[sel], ys[sel], zs[sel]]))
+                xz_yz = np.unique(np.concatenate([ab[a, c], ab[b, c]]))
+                members = cl.reps[np.unique(np.concatenate([a, b, c]))]
                 ok = not ((mul[np.ix_(xz_yz, parr)] != zero).any()
                           or (mul[np.ix_(members, lat[p2].arr)] != zero).any()
                           or pt[p2, pi] != 0)
@@ -373,16 +372,13 @@ def check_reduced_triple_zero(rings: list[FiniteRing]) -> Instances:
     for r in rings:
         if not is_reduced(r):
             continue
-        mul = r.mul
         for p in all_ideals(r).proper:
             if not _w1ap(p):
                 continue
-            xs, ys, zs = _OneAbsorbingTable.build(r, p.mask).triple_zeros()
-            if (len(xs) and not p.is_zero
-                    and not is_one_absorbing_prime(p).holds):
+            cl, a, b, c = _triple_zero_classes(r, p.mask)
+            if len(a) and not p.is_zero and not is_one_absorbing_prime(p).holds:
                 nonzero_cases += 1
-            sel = ~p.mask[mul[xs, zs]] & ~p.mask[mul[ys, zs]]
-            if not sel.any():
+            if not (~p.mask[cl.ab[a, c]] & ~p.mask[cl.ab[b, c]]).any():
                 yield VACUOUS
                 continue
             yield r, p, (None if p.is_zero else
@@ -405,17 +401,14 @@ def check_idealization_transfer(rings: list[FiniteRing]) -> Instances:
         base, j = r.idealization
         k = r.module_size
         ann_m = j.mask                    # M = base/j is cyclic: Ann(M) = j
-        mul = base.mul
         for p in all_ideals(base).proper:
             members = (p.arr[:, None] * k + np.arange(k)[None, :]).ravel()
             big = Ideal(r, members.tolist())
             lhs = _w1ap(big)
             rhs = _w1ap(p)
-            if rhs:
-                xs, ys, zs = _OneAbsorbingTable.build(base, p.mask).triple_zeros()
-                rhs = bool(ann_m[mul[xs, ys]].all()
-                           and ann_m[mul[xs, zs]].all()
-                           and ann_m[mul[ys, zs]].all())
+            if rhs:                       # xy, xz and yz in Ann(M), an ideal
+                cl, a, b, c = _triple_zero_classes(base, p.mask)
+                rhs = bool(ann_m[cl.ab[np.r_[a, a, b], np.r_[b, c, c]]].all())
             yield base, p, (None if lhs == rhs else
                             f"extension scan in {r.text} gives {lhs}, "
                             f"base criterion gives {rhs}")

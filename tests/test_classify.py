@@ -35,6 +35,7 @@ from idealis import (
     zero_ideal,
 )
 from idealis.classify import _scan_one_absorbing
+from fault_corpus import FAULT_TEXTS, fault_rings
 
 
 def _ideal(n, g):
@@ -217,8 +218,8 @@ def test_verdicts_on_product_with_field_factor():
 
 
 def test_one_absorbing_scan_memory_is_quadratic():
-    # The scan holds O(n^2) candidates: pairs of nonunits and (x*y, z)
-    # products. A cube over (x, y, z) would need about n times more.
+    # The scan holds O(n^2) candidates: pairs of class representatives
+    # and (w, z) products. A cube over (x, y, z) would need about n times more.
     ring = build_ring_text("Z4 x Z256")
     n = ring.size
     for p in all_ideals(ring).proper:
@@ -236,19 +237,32 @@ def _index_rings():
     return rings + [build_ring_text("Z4 x Z60"), build_ring_text("Idealize(Z64, (4))")]
 
 
-def test_nonunit_products_match_pair_loop():
-    # the distinct x*y over pairs of nonunits in first-occurrence order,
-    # each with the row-major index of the first pair (x, y) that gives it
-    for ring in _index_rings():
-        nu = ring.nonunits.tolist()
+def test_nonunit_classes_match_pair_loop():
+    # the nonunits grouped by their least u*x over the units u (and 1):
+    # the least member of each class, ascending, and the class sizes;
+    # then the distinct products of rep pairs in first-occurrence order,
+    # each with the row-major index of the first rep pair giving it. The
+    # damaged rings, whose largest unit is declared a nonunit, have a
+    # class whose least key is a unit and whose least nonunit is not.
+    for ring in _index_rings() + fault_rings()[:len(FAULT_TEXTS)]:
+        units = ring.units | {ring.one}
+        classes = {}
+        for x in ring.nonunits.tolist():
+            key = min(int(ring.mul[u, x]) for u in units)
+            classes.setdefault(key, []).append(x)
+        reps = sorted(min(members) for members in classes.values())
+        sizes = {min(members): len(members) for members in classes.values()}
         first = {}
-        for i, x in enumerate(nu):
-            for j, y in enumerate(nu):
-                first.setdefault(int(ring.mul[x, y]), i * len(nu) + j)
-        xy, ws, got_first = ring.nonunit_products
-        assert xy.tolist() == [[int(ring.mul[x, y]) for y in nu] for x in nu], ring.text
-        assert ws.tolist() == list(first), ring.text
-        assert got_first.tolist() == list(first.values()), ring.text
+        for i, a in enumerate(reps):
+            for j, b in enumerate(reps):
+                first.setdefault(int(ring.mul[a, b]), i * len(reps) + j)
+        cl = ring.nonunit_classes
+        assert cl.reps.tolist() == reps, ring.text
+        assert cl.sizes.tolist() == [sizes[a] for a in reps], ring.text
+        assert cl.ab.tolist() == [[int(ring.mul[a, b]) for b in reps] for a in reps]
+        assert cl.ws.tolist() == list(first), ring.text
+        assert cl.first.tolist() == list(first.values()), ring.text
+        assert not any(a.flags.writeable for a in cl)
 
 
 def test_associates_match_unit_loop():

@@ -268,13 +268,13 @@ def test_twins_share_the_proof_not_the_first_ring(monkeypatch):
     assert again._scans is twin._scans and again.mul is twin.mul
 
 
-def test_twins_derive_nonunit_products_and_associates_once(monkeypatch):
+def test_twins_derive_nonunit_classes_and_associates_once(monkeypatch):
     """Over a pass of every check on the default corpus, each distinct
     table pair gets one computation of each, however many twins ask.
     Every ring that computed one is kept alive, so its record is too."""
     computed = {}
     alive = []
-    for name in ("_nonunit_products", "_associates"):
+    for name in ("_nonunit_classes", "_associates"):
         keys = computed[name] = []
 
         def counted(r, compute=getattr(rings, name), keys=keys):
@@ -290,14 +290,17 @@ def test_twins_derive_nonunit_products_and_associates_once(monkeypatch):
 def test_rebound_unit_data_derives_its_own_values():
     z6 = make_zn(6)
     twin = make_zn(6)
-    shared = z6.nonunit_products, z6.associates
+    shared = z6.nonunit_classes, z6.associates
     twin.unit_mask = np.zeros(6, dtype=bool)     # as a fault hook would: no unit left
     twin.nonunits = np.arange(6, dtype=np.int32)
-    assert np.array_equal(twin.nonunit_products[0], twin.mul)
+    own = twin.nonunit_classes
+    assert own.reps.tolist() == list(range(6)) and own.sizes.tolist() == [1] * 6
+    assert np.array_equal(own.ab, twin.mul)
     assert twin.associates.tolist() == list(range(6))
     assert twin.associates.dtype == np.int32 and not twin.associates.flags.writeable
-    assert make_zn(6).nonunit_products is shared[0]
+    assert make_zn(6).nonunit_classes is shared[0]
     assert make_zn(6).associates is shared[1]
+    assert shared[0].reps.tolist() == [0, 2, 3] and shared[0].sizes.tolist() == [1, 2, 1]
 
 
 def _rejections(add, mul) -> list[str]:

@@ -37,8 +37,9 @@ from idealis import (
     make_quotient,
     tmm_characterize,
 )
-from idealis.classify import _OneAbsorbingTable
+from idealis.classify import _scan_one_absorbing, _triple_zero_classes
 from idealis.rings import coset_least
+from fault_corpus import fault_rings
 from scan_oracle import (
     oracle_triple_zeros,
     oracle_witnesses,
@@ -256,11 +257,62 @@ def test_one_absorbing_table_matches_planes_on_large_rings():
             if weak is not None:
                 continue
             w1ap += 1
-            got = _OneAbsorbingTable.build(ring, p.mask).triple_zeros()
-            want = plane_triple_zeros(p)
-            assert all(np.array_equal(g, w) for g, w in zip(got, want)), where
-            triples += len(want[0])
+            got = np.array(find_one_triple_zeros(p), dtype=np.intp).reshape(-1, 3)
+            want = np.stack(plane_triple_zeros(p), axis=1)
+            assert np.array_equal(got, want), where
+            triples += len(want)
     assert (w1ap, triples) == (46, 8352882)
+
+
+def test_one_absorbing_scan_matches_planes_on_damaged_unit_data():
+    """On rings whose largest unit is marked a nonunit, the class of that
+    element holds units too: the scan must still report the planes'
+    witnesses over the nonunits as declared."""
+    ideals = 0
+    for ring in fault_rings():
+        for p in all_ideals(ring).proper:
+            where = (ring.text, p.elements)
+            assert _scan_one_absorbing(ring, p.mask) == plane_one_absorbing(p), where
+            ideals += 1
+    assert ideals == 156
+
+
+def test_class_triples_count_the_oracle_triple_zeros():
+    """The 1-triple zeros of P are the members of the class triples,
+    sizes[a] * sizes[b] * sizes[c] of them for each."""
+    tested = 0
+    for ring in build_corpus():
+        if ring.size > MAX_SIZE:
+            continue
+        for p in all_ideals(ring).proper:
+            if not is_weakly_one_absorbing_prime(p).holds:
+                continue
+            cl, a, b, c = _triple_zero_classes(ring, p.mask)
+            count = int((cl.sizes[a] * cl.sizes[b] * cl.sizes[c]).sum())
+            assert count == len(oracle_triple_zeros(p)), (ring.text, p.elements)
+            tested += count > 0
+    assert tested > 100, tested
+
+
+def test_one_absorbing_table_cells_on_large_rings(monkeypatch):
+    """Cells of the 1-absorbing table, rep products outside P by reps
+    outside P, summed over the proper ideals of LARGE_RINGS. Over every
+    nonunit product and every nonunit the table had 2136500 cells;
+    counts, unlike times, hold on any host."""
+    scans = importlib.import_module("idealis.classify")
+    table = scans._one_absorbing_table
+    cells = []
+
+    def counted(ring, mask):
+        out = table(ring, mask)
+        cells.append(out[-1].size)
+        return out
+    monkeypatch.setattr(scans, "_one_absorbing_table", counted)
+    for text in LARGE_RINGS:
+        ring = build_ring_text(text)
+        for p in all_ideals(ring).proper:
+            scans._scan_one_absorbing(ring, p.mask)     # past the scan memo
+    assert (len(cells), sum(cells)) == (207, 245076)
 
 
 def test_one_absorbing_witness_outside_the_least_hit_row():
