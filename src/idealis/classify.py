@@ -16,10 +16,12 @@ nonunit.
 
 Each strict/weak pair is one family. Every family lays its violation
 tables out so that row-major order is lex order of the candidates: one
-(x, y) table for prime, one (y, z) table per x for 2-absorbing, and one
-(x*y, z) table for 1-absorbing. So one reader, rings._first_hit, gives
-every witness, strict and weak, as the first row-major hit. A weak
-violation is a strict one, so one pass finds both witnesses.
+(x, y) table for prime, blocks of x rows of an (x, y) x z cube for
+2-absorbing, and one (x*y, z) table for 1-absorbing. So one reader,
+rings._first_hit, gives every witness, strict and weak, as the first
+row-major hit; for 2-absorbing it reads the (x, y) pairs of a block
+that have any z, and z is the lowest set bit of that pair's words. A
+weak violation is a strict one, so one pass finds both witnesses.
 
 No condition of a family changes when a coordinate is multiplied by a
 unit u: u*w lies in P iff w does, and u*w != 0 iff w != 0. So replacing
@@ -32,12 +34,21 @@ The prime plane runs over the nonunits outside P that are their own
 least associate, read from the ring's associates. No prime violation
 uses a member of P, nor a unit, for a unit x puts y = x^-1*(x*y) in P.
 
-The 2-absorbing planes draw x, y and z from sorted candidates, with y
-and z from x on. No violation uses a unit, for a unit x puts
-y*z = x^-1*(x*y*z) in P, nor a member of P, for such an x puts x*y in
-P. The violation is symmetric in x, y and z, so sorting one gives one
-that is lex-smaller or equal: the least has x <= y <= z, and it is the
-first row-major hit of the plane of its x.
+The 2-absorbing cube draws x, y and z from sorted candidates c. No
+violation uses a unit, for a unit x puts y*z = x^-1*(x*y*z) in P, nor a
+member of P, for such an x puts x*y in P. Every element w gets a bitset
+over c, packed in little-endian uint64 words: bit z is set when w*z is
+in P, and for the weak search also w*z != 0. A block takes the x rows
+c[s:e] and the y from c[s] on, and its hits are
+bits[x*y] & ~bits[x] & ~bits[y], none where x*y is in P: bit z of the
+pair (x, y) marks a violation (x, y, z). A block holds at most
+_BLOCK_ENTRIES words. The violation is symmetric in x, y and z, so
+sorting one gives one that is lex-smaller or equal: the least has
+x <= y <= z, so it lies in the block of its x, where y >= x >= s. No
+earlier block has a hit, which would be a violation with a smaller x,
+so the least violation is the first row-major hit of the first block
+that has any hit. For the same reason, each coordinate of a violation
+is the x or the y of a hit in the block of its least coordinate.
 
 The units of A act on A/P by multiplication, and the orbit of x is the
 union of the cosets u*x + P. The strict condition sees x, y and z only
@@ -55,10 +66,12 @@ The weak condition x*y*z != 0 does not pass to cosets, but it passes to
 associates, so the least weak violation is made of elements that are
 their own least associate. A weak violation is a strict one, so each of
 its orbits holds a coordinate of a strict violation among the
-representatives. The strict search marks those orbits, and the weak
-search runs over their members that are their own least associate. It
-is skipped when there is no strict violation, and for P = 0, where
-0 != x*y*z in P cannot hold.
+representatives. The strict search runs over every block and marks
+the orbits of the x rows and of the y columns that have a hit, which
+holds every such coordinate. The weak search runs over the members of
+the marked orbits that are their own least associate, and stops at its
+first block with a hit. It is skipped when there is no strict
+violation, and for P = 0, where 0 != x*y*z in P cannot hold.
 
 The 1-absorbing table runs over the reps of the ring's nonunit_classes,
 the least nonunit of each associate class: a row per rep product
@@ -76,13 +89,14 @@ the reps declared nonunits, so all of this still holds.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ImproperIdeal, NotW1AP
 from .ideals import Ideal, all_ideals
-from .rings import FiniteRing, _first_hit, coset_least
+from .rings import _BLOCK_ENTRIES, FiniteRing, _first_hit, coset_least
 
 
 class Verdict(NamedTuple):
@@ -126,19 +140,53 @@ def _prime_candidates(ring: FiniteRing, mask: np.ndarray) -> np.ndarray:
     return c[ring.associates[c] == c]
 
 
-def _two_absorbing_planes(ring: FiniteRing, mask: np.ndarray, c: np.ndarray):
-    """(x, tail, viol, plane) per x in the sorted candidates c: tail the
-    candidates from x on, viol the (y, z) violations over tail x tail and
-    plane = x*y*z."""
-    mul = ring.mul
-    cc = mul[np.ix_(c, c)]             # x*y over c x c
-    cc_in = mask[cc]
-    for a, x in enumerate(c.tolist()):
-        tail = c[a:]
-        x_in = cc_in[a, a:]            # x*y in P, and x*z in P via the same row
-        plane = mul[np.ix_(cc[a, a:], tail)]    # [y, z] = x*y*z
-        viol = mask[plane] & ~x_in[:, None] & ~x_in[None, :] & ~cc_in[a:, a:]
-        yield x, tail, viol, plane
+def _words(table: np.ndarray) -> np.ndarray:
+    """The rows of the boolean table as bitsets of little-endian uint64
+    words, words-first: bit j of words[q, w] holds column 64*q + j of
+    row w. One more row, at index len(table), has no bit set."""
+    rows, cols = table.shape
+    padded = np.zeros((rows + 1, -(-cols // 64) * 64), dtype=bool)
+    padded[:rows, :cols] = table
+    packed = np.packbits(padded, axis=1, bitorder="little").view("<u8")
+    return np.ascontiguousarray(packed.T)
+
+
+def _two_absorbing_blocks(ring: FiniteRing, mask: np.ndarray, c: np.ndarray,
+                          weak: bool):
+    """(xs, ys, hit) per block of x rows of the sorted candidates c: xs
+    the block's rows c[s:e], ys the candidates c[s:] from its first row
+    on, and hit[:, i, j] the words whose bit l is set when (xs[i], ys[j],
+    c[l]) is a violation, weak or strict. A block holds at most
+    _BLOCK_ENTRIES words."""
+    prods = ring.mul[:, c]             # [w, z] = w*z
+    in_p = mask[prods]
+    bits = _words(in_p)                # bit z of w: w*z in P
+    out = ~bits[:, c]                  # bit z of x: x*z not in P
+    if weak:
+        bits = _words(in_p & (prods != ring.zero))
+    cc = np.where(in_p[c], ring.size, prods[c])     # x*y, or the empty row
+    words, k = out.shape
+    s = 0
+    while s < k:
+        e = min(k, s + max(1, _BLOCK_ENTRIES // ((k - s) * words)))
+        hit = bits[:, cc[s:e, s:]]
+        hit &= out[:, s:e, None]
+        hit &= out[:, None, s:]
+        yield c[s:e], c[s:], hit
+        s = e
+
+
+def _least_triple(c: np.ndarray, xs: np.ndarray, ys: np.ndarray,
+                  hit: np.ndarray, pairs: np.ndarray) -> tuple | None:
+    """The first row-major hit of a block, z the lowest set bit of the
+    words of its first pair (x, y) with any, pairs = hit.any(axis=0)."""
+    first = _first_hit(pairs)
+    if first is None:
+        return None
+    i, j = first
+    q = int(np.flatnonzero(hit[:, i, j])[0])
+    word = int(hit[q, i, j])
+    return int(xs[i]), int(ys[j]), int(c[64 * q + (word & -word).bit_length() - 1])
 
 
 def _one_absorbing_table(ring: FiniteRing, mask: np.ndarray):
@@ -178,22 +226,21 @@ def _scan_two_absorbing(ring: FiniteRing, mask: np.ndarray):
     np.minimum.at(orbit, assoc, coset_least(ring, np.flatnonzero(mask)))
     orbit = orbit[assoc]               # least member of the cosets u*x + P
     c = ring.nonunits[~mask[ring.nonunits]]
+    reps = c[orbit[c] == c]
     strict, seen = None, np.zeros(ring.size, dtype=bool)
-    for x, tail, viol, _ in _two_absorbing_planes(ring, mask, c[orbit[c] == c]):
-        rows = viol.any(axis=1)        # viol is symmetric: rows are columns
-        if rows.any():
-            if strict is None:
-                i, j = _first_hit(viol)
-                strict = (x, int(tail[i]), int(tail[j]))
-            seen[x] = True
-            seen[tail[rows]] = True
+    for xs, ys, hit in _two_absorbing_blocks(ring, mask, reps, False):
+        pairs = hit.any(axis=0)
+        if strict is None:
+            strict = _least_triple(reps, xs, ys, hit, pairs)
+        seen[xs[pairs.any(axis=1)]] = True
+        seen[ys[pairs.any(axis=0)]] = True
     if strict is None or np.count_nonzero(mask) == 1:      # no hit, or P = 0
         return strict, None
     weak_c = c[seen[orbit[c]] & (assoc[c] == c)]
-    for x, tail, viol, plane in _two_absorbing_planes(ring, mask, weak_c):
-        hit = _first_hit(viol & (plane != ring.zero))
-        if hit is not None:
-            return strict, (x, int(tail[hit[0]]), int(tail[hit[1]]))
+    for xs, ys, hit in _two_absorbing_blocks(ring, mask, weak_c, True):
+        weak = _least_triple(weak_c, xs, ys, hit, hit.any(axis=0))
+        if weak is not None:
+            return strict, weak
     return strict, None
 
 
@@ -326,15 +373,14 @@ def find_one_triple_zeros(p: Ideal) -> list[tuple[int, int, int]]:
     nu, assoc = ring.nonunits, ring.associates
     key = assoc[nu]                         # x's class, by its least associate
     ka, kb, kc = (assoc[cl.reps[i]] for i in (a, b, c))
-    triples, tails = [], {}
-    for x, kx in zip(nu.tolist(), key.tolist()):
-        if kx not in tails:                 # the (y, z) of x's class, in lex order
-            hit = np.zeros((ring.size, ring.size), dtype=bool)
-            hit[kb[ka == kx], kc[ka == kx]] = True
-            y, z = np.nonzero(hit[np.ix_(key, key)])
-            tails[kx] = list(zip(nu[y].tolist(), nu[z].tolist()))
-        triples += [(x, y, z) for y, z in tails[kx]]
-    return triples
+    tails = {}
+    for kx in np.unique(key).tolist():      # the (y, z) of x's class, in lex order
+        hit = np.zeros((ring.size, ring.size), dtype=bool)
+        hit[kb[ka == kx], kc[ka == kx]] = True
+        y, z = np.nonzero(hit[np.ix_(key, key)])
+        tails[kx] = nu[y].tolist(), nu[z].tolist()
+    return list(chain.from_iterable(        # zip builds the tuples, not a loop
+        zip(repeat(x), *tails[kx]) for x, kx in zip(nu.tolist(), key.tolist())))
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ from idealis import (
     witness_violates,
     zero_ideal,
 )
-from idealis.classify import _scan_one_absorbing
+from idealis.classify import _scan_one_absorbing, _scan_two_absorbing
 from fault_corpus import FAULT_TEXTS, fault_rings
 
 
@@ -230,6 +230,23 @@ def test_one_absorbing_scan_memory_is_quadratic():
         finally:
             tracemalloc.stop()
         assert peak < 16 * n * n, (p.elements[:4], peak)
+
+
+def test_two_absorbing_scan_memory_is_quadratic():
+    # The scan holds n x c products and bitsets, the c x c products of
+    # its candidates c, and one block of _BLOCK_ENTRIES words of the
+    # (x, y) x z cube at a time. On Z2^8, whose only unit is 1, the
+    # candidates are every nonunit outside P.
+    ring = build_ring_text(" x ".join(["Z2"] * 8))
+    n = ring.size
+    for p in all_ideals(ring).proper:
+        tracemalloc.start()
+        try:
+            _scan_two_absorbing(ring, p.mask)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * n * n, (p.elements[:4], peak)
 
 
 def _index_rings():

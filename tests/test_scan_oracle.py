@@ -10,7 +10,10 @@ to 256 elements, the prime scan also on Z720 and Z1024, and so must the
 weak 2-absorbing search on the corpus ideals it finds hardest, and the
 1-absorbing table on the corpus ideals whose witness is not in the hit
 row of least x*y. The prime and 2-absorbing candidate counts on those
-rings are pinned.
+rings are pinned. The 2-absorbing scan must also agree with the cubes
+and the planes when its blocks are cut to a few words, and both the
+2-absorbing and the 1-absorbing scan with the planes on the rings of the
+fault corpus, whose unit data is damaged.
 Quotients that share a live ring's tables, and equal ideals built
 outside the lattice, read the witnesses of one shared scan.
 """
@@ -37,7 +40,11 @@ from idealis import (
     make_quotient,
     tmm_characterize,
 )
-from idealis.classify import _scan_one_absorbing, _triple_zero_classes
+from idealis.classify import (
+    _scan_one_absorbing,
+    _scan_two_absorbing,
+    _triple_zero_classes,
+)
 from idealis.rings import coset_least
 from fault_corpus import fault_rings
 from scan_oracle import (
@@ -226,13 +233,13 @@ def test_two_absorbing_candidate_counts_on_large_rings(monkeypatch):
     representatives and every member of the marked cosets they were
     4205 and 11459; counts, unlike times, hold on any host."""
     scans = importlib.import_module("idealis.classify")
-    planes = scans._two_absorbing_planes
+    blocks = scans._two_absorbing_blocks
     sizes = []
 
-    def counted(ring, mask, c):
+    def counted(ring, mask, c, *args):
         sizes.append(len(c))
-        return planes(ring, mask, c)
-    monkeypatch.setattr(scans, "_two_absorbing_planes", counted)
+        return blocks(ring, mask, c, *args)
+    monkeypatch.setattr(scans, "_two_absorbing_blocks", counted)
     ideals = strict = weak = 0
     for text in LARGE_RINGS:
         ring = build_ring_text(text)
@@ -243,6 +250,56 @@ def test_two_absorbing_candidate_counts_on_large_rings(monkeypatch):
             strict += sizes[0]
             weak += sum(sizes[1:])
     assert (ideals, strict, weak) == (207, 1500, 2384)
+
+
+def test_two_absorbing_blocks_at_a_small_budget(monkeypatch):
+    """With a block budget of 8 words, most blocks of the 2-absorbing
+    scan hold one x row and the last ones two, so the scan crosses many
+    block boundaries; its witnesses must still be the cube's and the
+    planes'. In a block of one row, the least coordinate of a violation
+    is only the x: a scan that marked only the y axis of its blocks loses
+    that orbit, and with it the weak witness of (0, 30) in Z60."""
+    scans = importlib.import_module("idealis.classify")
+    monkeypatch.setattr(scans, "_BLOCK_ENTRIES", 8)
+    blocks = scans._two_absorbing_blocks
+    rows = []
+
+    def counted(*args):
+        for xs, ys, hit in blocks(*args):
+            rows.append(len(xs))
+            yield xs, ys, hit
+    monkeypatch.setattr(scans, "_two_absorbing_blocks", counted)
+    ideals = 0
+    for ring in build_corpus():
+        if ring.size > MAX_SIZE:
+            continue
+        for p in all_ideals(ring).proper:
+            want = oracle_witnesses(p)
+            got = scans._scan_two_absorbing(ring, p.mask)
+            assert got == (want["twoAbsorbing"], want["weaklyTwoAbsorbing"]), \
+                (ring.text, p.elements)
+            ideals += 1
+    for text in LARGE_RINGS:
+        ring = build_ring_text(text)
+        for p in all_ideals(ring).proper:
+            got = scans._scan_two_absorbing(ring, p.mask)
+            assert got == plane_two_absorbing(p), (text, p.elements)
+            ideals += 1
+    assert (ideals, len(rows), rows.count(1)) == (1090, 3221, 2036)
+
+
+def test_two_absorbing_scan_matches_planes_on_damaged_unit_data():
+    """On rings whose largest unit is marked a nonunit, the 2-absorbing
+    scan draws its candidates and orbits from the declared unit data; it
+    must still report the witnesses of the planes, which read no unit
+    data."""
+    ideals = 0
+    for ring in fault_rings():
+        for p in all_ideals(ring).proper:
+            where = (ring.text, p.elements)
+            assert _scan_two_absorbing(ring, p.mask) == plane_two_absorbing(p), where
+            ideals += 1
+    assert ideals == 156
 
 
 def test_one_absorbing_table_matches_planes_on_large_rings():
