@@ -143,7 +143,7 @@ def _prime_candidates(ring: FiniteRing, mask: np.ndarray) -> np.ndarray:
 def _words(table: np.ndarray) -> np.ndarray:
     """The rows of the boolean table as bitsets of little-endian uint64
     words, words-first: bit j of words[q, w] holds column 64*q + j of
-    row w. One more row, at index len(table), has no bit set."""
+    row w. One more row, w = len(table), has no bit set."""
     rows, cols = table.shape
     padded = np.zeros((rows + 1, -(-cols // 64) * 64), dtype=bool)
     padded[:rows, :cols] = table
@@ -155,9 +155,9 @@ def _two_absorbing_blocks(ring: FiniteRing, mask: np.ndarray, c: np.ndarray,
                           weak: bool):
     """(xs, ys, hit) per block of x rows of the sorted candidates c: xs
     the block's rows c[s:e], ys the candidates c[s:] from its first row
-    on, and hit[:, i, j] the words whose bit l is set when (xs[i], ys[j],
-    c[l]) is a violation, weak or strict. A block holds at most
-    _BLOCK_ENTRIES words."""
+    on, and hit the words of the block: bit l of hit[q, i, j] is set
+    when (xs[i], ys[j], c[64*q + l]) is a violation, weak or strict. A
+    block holds at most _BLOCK_ENTRIES words."""
     prods = ring.mul[:, c]             # [w, z] = w*z
     in_p = mask[prods]
     bits = _words(in_p)                # bit z of w: w*z in P
