@@ -30,9 +30,10 @@ class gives a violation, strict or weak as it was, that is lex-smaller
 or equal as it stands for prime and 1-absorbing, and once sorted for
 2-absorbing.
 
-The prime plane runs over the nonunits outside P that are their own
-least associate, read from the ring's associates. No prime violation
-uses a member of P, nor a unit, for a unit x puts y = x^-1*(x*y) in P.
+The prime plane runs over the reps of the ring's nonunit_classes outside
+P, the columns of the 1-absorbing table below, and reads their products
+from ab. No prime violation uses a member of P, nor a unit, for a unit x
+puts y = x^-1*(x*y) in P.
 
 The 2-absorbing cube draws x, y and z from sorted candidates c. No
 violation uses a unit, for a unit x puts y*z = x^-1*(x*y*z) in P, nor a
@@ -80,10 +81,11 @@ the first rep pair giving w, a column per rep z outside P and a hit
 where w*z is in P. The least pair with a hit is then the first pair of
 the first hit row, so the first row-major hit is the witness. A triple
 of nonunits is a violation exactly when its classes are, so the class
-cube of hits, gathered through ab, gives the 1-triple zeros; the checks
-that read it ask whether a product lies in an ideal, which no unit
+cube of hits, gathered through ab, gives the 1-triple zeros: the reps
+of each class triple and the member triples it stands for; the checks
+that read them ask whether a product lies in an ideal, which no unit
 changes. Under damaged unit data the declared units are true units and
-the reps declared nonunits, so all of this still holds.
+the reps declared nonunits, so all of this, and the prime plane, holds.
 """
 
 from __future__ import annotations
@@ -132,12 +134,6 @@ ZERO_IDEAL_FOOTNOTE = (
 def _require_proper(p: Ideal) -> None:
     if not p.is_proper:
         raise ImproperIdeal(f"classification needs a proper ideal of {p.ring.text}")
-
-
-def _prime_candidates(ring: FiniteRing, mask: np.ndarray) -> np.ndarray:
-    """The nonunits outside P that are their own least associate."""
-    c = ring.nonunits[~mask[ring.nonunits]]
-    return c[ring.associates[c] == c]
 
 
 def _words(table: np.ndarray) -> np.ndarray:
@@ -202,21 +198,25 @@ def _one_absorbing_table(ring: FiniteRing, mask: np.ndarray):
 
 
 def _triple_zero_classes(ring: FiniteRing, mask: np.ndarray):
-    """(classes, a, b, c): the class triples, as indices into
-    classes.reps in lex order, whose reps are a strict 1-absorbing
-    violation of P, read by gathering table rows through classes.ab."""
+    """(x, y, z, count): the reps of each class triple that is a strict
+    1-absorbing violation of P, in lex order, and the number of member
+    triples each one stands for; read by gathering table rows through
+    the rep products ab."""
     cl, rows, cols, _, hits = _one_absorbing_table(ring, mask)
     of_w = np.zeros((ring.size, len(cols)), dtype=bool)    # w's row, or none
     of_w[cl.ws[rows]] = hits
     a, b, c = np.nonzero(of_w[cl.ab])       # the class cube hit[a, b, c]
-    return cl, a, b, cols[c]
+    c = cols[c]
+    return cl.reps[a], cl.reps[b], cl.reps[c], cl.sizes[a] * cl.sizes[b] * cl.sizes[c]
 
 
 def _scan_prime(ring: FiniteRing, mask: np.ndarray):
-    c = _prime_candidates(ring, mask)
-    prods = ring.mul[np.ix_(c, c)]
+    cl = ring.nonunit_classes
+    out = np.flatnonzero(~mask[cl.reps])
+    prods = cl.ab[np.ix_(out, out)]
     viol = mask[prods]
     hits = _first_hit(viol), _first_hit(viol & (prods != ring.zero))
+    c = cl.reps[out]
     return tuple(None if h is None else (int(c[h[0]]), int(c[h[1]])) for h in hits)
 
 
@@ -369,10 +369,9 @@ def find_one_triple_zeros(p: Ideal) -> list[tuple[int, int, int]]:
     if not is_weakly_one_absorbing_prime(p).holds:
         raise NotW1AP(f"{p!r} is not weakly 1-absorbing prime")
     ring = p.ring
-    cl, a, b, c = _triple_zero_classes(ring, p.mask)
     nu, assoc = ring.nonunits, ring.associates
     key = assoc[nu]                         # x's class, by its least associate
-    ka, kb, kc = (assoc[cl.reps[i]] for i in (a, b, c))
+    ka, kb, kc = (assoc[v] for v in _triple_zero_classes(ring, p.mask)[:3])
     tails = {}
     for kx in np.unique(key).tolist():      # the (y, z) of x's class, in lex order
         hit = np.zeros((ring.size, ring.size), dtype=bool)

@@ -278,7 +278,7 @@ def _primitive_idempotents(ring: FiniteRing) -> np.ndarray:
     return idem[below.sum(axis=1) == 1]
 
 
-def _principal_closure(ring: FiniteRing, seeds: np.ndarray, cap: int,
+def _principal_closure(ring: FiniteRing, seeds: np.ndarray,
                        ) -> list[tuple[np.ndarray, tuple[int, ...]]]:
     """(mask, generators) of every ideal that is a sum of principal
     ideals (a), a in the ascending seeds.
@@ -287,8 +287,8 @@ def _principal_closure(ring: FiniteRing, seeds: np.ndarray, cap: int,
     Each (a) is additively closed, so closing the principal ideals
     under "+ (a)" alone, skipping every (a) an ideal already contains,
     finds every such sum; a sum of ideals is an ideal, so none is
-    checked again. The cap is checked on the principal ideals and again
-    as each ideal that is not principal is found.
+    checked again. LATTICE_CAP is checked on the principal ideals and
+    again as each ideal that is not principal is found.
     """
     n = ring.size
     principal = np.zeros((len(seeds), n), dtype=bool)
@@ -296,8 +296,8 @@ def _principal_closure(ring: FiniteRing, seeds: np.ndarray, cap: int,
     found: dict[bytes, tuple[np.ndarray, tuple[int, ...]]] = {}
     for a, row in zip(seeds, principal):
         found.setdefault(row.tobytes(), (row, (int(a),)))
-    if len(found) > cap:
-        raise LatticeCapExceeded(f"more than {cap} ideals in {ring.text}")
+    if len(found) > LATTICE_CAP:
+        raise LatticeCapExceeded(f"more than {LATTICE_CAP} ideals in {ring.text}")
     pmasks = np.stack([m for m, _ in found.values()])
     parrs = [np.flatnonzero(m) for m in pmasks]
     pgens = [g for _, (g,) in found.values()]
@@ -310,15 +310,15 @@ def _principal_closure(ring: FiniteRing, seeds: np.ndarray, cap: int,
             s[rows[:, parrs[b]]] = True
             key = s.tobytes()
             if key not in found:
-                if len(found) >= cap:
+                if len(found) >= LATTICE_CAP:
                     raise LatticeCapExceeded(
-                        f"more than {cap} ideals in {ring.text}")
+                        f"more than {LATTICE_CAP} ideals in {ring.text}")
                 found[key] = (s, gens + (pgens[b],))
                 worklist.append(found[key])
     return list(found.values())
 
 
-def all_ideals(ring: FiniteRing, cap: int = LATTICE_CAP) -> IdealLattice:
+def all_ideals(ring: FiniteRing) -> IdealLattice:
     """Every ideal, cached on the ring.
 
     The ring is the product of the local rings A*e over its primitive
@@ -329,7 +329,7 @@ def all_ideals(ring: FiniteRing, cap: int = LATTICE_CAP) -> IdealLattice:
     inside A*e from the principal ideals (a), a in A*e, and each choice
     of one local ideal per e gives the member whose mask is the AND over
     e of local_mask_e[a*e]; a local ring has the one factor e = 1. The
-    lattice size is the product of the local sizes, so the cap is
+    lattice size is the product of the local sizes, so LATTICE_CAP is
     checked before any member mask is built. Each closure is seeded
     with the least associates in A*e only, as (a) = (u*a) for a unit u:
     the least generator of (a) is its own least associate, and the
@@ -351,9 +351,9 @@ def all_ideals(ring: FiniteRing, cap: int = LATTICE_CAP) -> IdealLattice:
     parts = []
     for e in _primitive_idempotents(ring):
         seeds = np.unique(ring.associates[ring.mul[:, e]])
-        parts.append((e, _principal_closure(ring, seeds, cap)))
-    if math.prod(len(local) for _, local in parts) > cap:
-        raise LatticeCapExceeded(f"more than {cap} ideals in {ring.text}")
+        parts.append((e, _principal_closure(ring, seeds)))
+    if math.prod(len(local) for _, local in parts) > LATTICE_CAP:
+        raise LatticeCapExceeded(f"more than {LATTICE_CAP} ideals in {ring.text}")
     masks = np.ones((1, n), dtype=bool)
     spanning: list[tuple[int, ...]] = [()]
     for e, local in parts:
@@ -451,7 +451,7 @@ def is_quasi_local(ring: FiniteRing) -> bool:
 
 
 def is_field(ring: FiniteRing) -> bool:
-    return len(ring.units) == ring.size - 1
+    return len(ring.nonunits) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -71,14 +71,15 @@ _VERIFIED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 class _Proven:
     """A verified table pair and the data derived from it, shared by
-    every live ring built with those tables."""
+    every live ring built with those tables: unit_mask, nonunits, the
+    scan memo, and nonunit_classes and associates once asked for."""
 
-    __slots__ = ("add", "mul", "neg", "unit_mask", "units", "nonunits",
-                 "scans", "nonunit_classes", "associates", "__weakref__")
+    __slots__ = ("add", "mul", "unit_mask", "nonunits", "scans",
+                 "nonunit_classes", "associates", "__weakref__")
 
     def __init__(self, r: FiniteRing):
-        self.add, self.mul, self.neg = r.add, r.mul, r.neg
-        self.unit_mask, self.units, self.nonunits = r.unit_mask, r.units, r.nonunits
+        self.add, self.mul = r.add, r.mul
+        self.unit_mask, self.nonunits = r.unit_mask, r.nonunits
         self.scans = r._scans
         self.nonunit_classes = self.associates = None      # filled on first use
 
@@ -102,17 +103,15 @@ class FiniteRing:
     """A verified finite commutative ring with identity. Each distinct
     table is verified in full; a build with a live ring's exact tables
     shares the _Proven record of their first verification: the tables,
-    neg, unit data and _scans, and nonunit_classes and associates once
-    some twin has asked for them.
+    unit data and _scans, and nonunit_classes and associates once some
+    twin has asked for them.
 
     Attributes:
         size: number of elements.
         add, mul: dense int32 operation tables, read-only and set once.
         zero, one: indices of the additive and multiplicative identities.
-        neg: neg[a] is the additive inverse of a.
-        units: frozenset of unit indices.
-        unit_mask: boolean array marking units.
-        nonunits: sorted int array of nonunit indices (zero included).
+        unit_mask: read-only boolean array marking the units.
+        nonunits: read-only ascending int32 nonunit indices, zero included.
         nonunit_classes (computed on first use, kept on _proven): a
             NonunitClasses of the nonunits' associate classes: reps, the
             least nonunit of each, ascending; sizes, the nonunits in
@@ -123,6 +122,7 @@ class FiniteRing:
             associates[x] is the least u*x over the units u, n read-only
             int32 values.
         provenance: the construction expression.
+        _lattice: the IdealLattice of all_ideals(ring) once built, else None.
         _scans: witnesses per verdict key, keyed by ideal elements.
         _proven: the _Proven record this ring shares with its twins.
         factors: (left, right) for a direct product, else None; element
@@ -167,19 +167,15 @@ class FiniteRing:
                 and _first_mismatch(n, proven.add.__getitem__, add.__getitem__) is None
                 and _first_mismatch(n, proven.mul.__getitem__, mul.__getitem__) is None):
             self._proven = proven
-            self.add, self.mul, self.neg = proven.add, proven.mul, proven.neg
-            self.unit_mask, self.units = proven.unit_mask, proven.units
-            self.nonunits, self._scans = proven.nonunits, proven.scans
+            self.add, self.mul, self._scans = proven.add, proven.mul, proven.scans
+            self.unit_mask, self.nonunits = proven.unit_mask, proven.nonunits
             return
         self.add = add
         self.mul = mul
         self._scans: dict[tuple[int, ...], dict[str, tuple | None]] = {}
         _verify_ring(self)
 
-        self.neg = _per_row(
-            n, lambda rows: (add[rows] == self.zero).argmax(axis=1)).astype(np.int32)
         self.unit_mask = _per_row(n, lambda rows: (mul[rows] == self.one).any(axis=1))
-        self.units = frozenset(int(u) for u in np.flatnonzero(self.unit_mask))
         self.nonunits = np.flatnonzero(~self.unit_mask).astype(np.int32)
 
         # a finite commutative ring has no regular nonunits; checking the
@@ -190,7 +186,6 @@ class FiniteRing:
 
         add.setflags(write=False)
         mul.setflags(write=False)
-        self.neg.setflags(write=False)
         self.unit_mask.setflags(write=False)
         self.nonunits.setflags(write=False)
         self._proven = _Proven(self)
@@ -234,9 +229,6 @@ class FiniteRing:
         """|M| for an idealization: M = base/j is cyclic, so |M| = |base|/|j|."""
         base, j = self.idealization
         return base.size // len(j)
-
-    def is_unit(self, a: int) -> bool:
-        return bool(self.unit_mask[a])
 
     def __repr__(self) -> str:
         return f"FiniteRing({self.text}, size={self.size})"

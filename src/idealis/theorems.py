@@ -222,7 +222,8 @@ def check_quotient_transfer(rings: list[FiniteRing]) -> Instances:
         proper = lat.proper
         for qi, q in enumerate(proper):
             rq, proj = make_quotient(r, q)
-            unit_lifting = {int(proj.mapping[u]) for u in r.units} == rq.units
+            unit_lifting = np.array_equal(np.unique(proj.mapping[r.unit_mask]),
+                                          np.flatnonzero(rq.unit_mask))
             for pi, p in enumerate(proper):
                 if not lat.le[qi, pi]:
                     continue
@@ -337,22 +338,22 @@ def check_triple_zero_annihilation(rings: list[FiniteRing]) -> Instances:
         for pi, p in enumerate(lat.proper):
             if not _w1ap(p):
                 continue
-            cl, a, b, c = _triple_zero_classes(r, p.mask)
-            if len(a) == 0:
+            x, y, z, count = _triple_zero_classes(r, p.mask)
+            if len(x) == 0:
                 yield VACUOUS
                 continue
-            triples_seen += int((cl.sizes[a] * cl.sizes[b] * cl.sizes[c]).sum())
-            parr, ab = p.arr, cl.ab
-            if (mul[np.ix_(np.unique(ab[a, b]), parr)] != zero).any():
+            triples_seen += int(count.sum())
+            parr = p.arr
+            if (mul[np.ix_(np.unique(mul[x, y]), parr)] != zero).any():
                 yield r, p, "xyP != 0 for some 1-triple zero"
                 continue
-            sel = ~p.mask[ab[a, c]] & ~p.mask[ab[b, c]]
+            sel = ~p.mask[mul[x, z]] & ~p.mask[mul[y, z]]
             ok = True
             if sel.any():
-                a, b, c = a[sel], b[sel], c[sel]
+                x, y, z = x[sel], y[sel], z[sel]
                 p2 = pt[pi, pi]
-                xz_yz = np.unique(np.concatenate([ab[a, c], ab[b, c]]))
-                members = cl.reps[np.unique(np.concatenate([a, b, c]))]
+                xz_yz = np.unique(np.concatenate([mul[x, z], mul[y, z]]))
+                members = np.unique(np.concatenate([x, y, z]))
                 ok = not ((mul[np.ix_(xz_yz, parr)] != zero).any()
                           or (mul[np.ix_(members, lat[p2].arr)] != zero).any()
                           or pt[p2, pi] != 0)
@@ -375,10 +376,10 @@ def check_reduced_triple_zero(rings: list[FiniteRing]) -> Instances:
         for p in all_ideals(r).proper:
             if not _w1ap(p):
                 continue
-            cl, a, b, c = _triple_zero_classes(r, p.mask)
-            if len(a) and not p.is_zero and not is_one_absorbing_prime(p).holds:
+            x, y, z, _ = _triple_zero_classes(r, p.mask)
+            if len(x) and not p.is_zero and not is_one_absorbing_prime(p).holds:
                 nonzero_cases += 1
-            if not (~p.mask[cl.ab[a, c]] & ~p.mask[cl.ab[b, c]]).any():
+            if not (~p.mask[r.mul[x, z]] & ~p.mask[r.mul[y, z]]).any():
                 yield VACUOUS
                 continue
             yield r, p, (None if p.is_zero else
@@ -407,8 +408,8 @@ def check_idealization_transfer(rings: list[FiniteRing]) -> Instances:
             lhs = _w1ap(big)
             rhs = _w1ap(p)
             if rhs:                       # xy, xz and yz in Ann(M), an ideal
-                cl, a, b, c = _triple_zero_classes(base, p.mask)
-                rhs = bool(ann_m[cl.ab[np.r_[a, a, b], np.r_[b, c, c]]].all())
+                x, y, z, _ = _triple_zero_classes(base, p.mask)
+                rhs = bool(ann_m[base.mul[np.r_[x, x, y], np.r_[y, z, z]]].all())
             yield base, p, (None if lhs == rhs else
                             f"extension scan in {r.text} gives {lhs}, "
                             f"base criterion gives {rhs}")

@@ -41,7 +41,6 @@ def corrupt_unit_scan(r, fake_nonunit):
     um = r.unit_mask.copy()
     um[fake_nonunit] = False
     r.unit_mask = um
-    r.units = frozenset(int(u) for u in np.flatnonzero(um))
     r.nonunits = np.flatnonzero(~um).astype(np.int32)
     r._scans = {}       # the scan memo belongs to the tables it was proved on
     return r
@@ -53,7 +52,7 @@ def fault_rings():
     for _ in range(REPEATS):
         for text in FAULT_TEXTS:
             r = build_ring_text(text)
-            rings.append(corrupt_unit_scan(r, max(r.units)))
+            rings.append(corrupt_unit_scan(r, int(np.flatnonzero(r.unit_mask)[-1])))
     return rings
 
 

@@ -54,8 +54,9 @@ def oracle_localization(r: FiniteRing, s: Iterable[int],
     # d is killable iff some v in S annihilates it
     kill = (r.mul[s_idx] == r.zero).any(axis=0)
 
+    neg = (r.add == r.zero).argmax(axis=1)             # neg[a] + a = 0
     term = r.mul[a_vec[:, None], t_vec[None, :]]      # [p, q] = a_p * t_q
-    diff = r.add[term, r.neg[term.T]]
+    diff = r.add[term, neg[term.T]]
     eq = kill[diff]                                    # pair equivalence
     if not (eq.T == eq).all() or not eq.diagonal().all():
         raise ValueError("pair equivalence failed to be symmetric/reflexive")

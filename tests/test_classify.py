@@ -262,7 +262,7 @@ def test_nonunit_classes_match_pair_loop():
     # damaged rings, whose largest unit is declared a nonunit, have a
     # class whose least key is a unit and whose least nonunit is not.
     for ring in _index_rings() + fault_rings()[:len(FAULT_TEXTS)]:
-        units = ring.units | {ring.one}
+        units = set(np.flatnonzero(ring.unit_mask).tolist()) | {ring.one}
         classes = {}
         for x in ring.nonunits.tolist():
             key = min(int(ring.mul[u, x]) for u in units)
@@ -285,7 +285,7 @@ def test_nonunit_classes_match_pair_loop():
 def test_associates_match_unit_loop():
     # associates[x] is the least u*x over the units u
     for ring in _index_rings():
-        units = sorted(ring.units)
+        units = np.flatnonzero(ring.unit_mask).tolist()
         want = [min(int(ring.mul[u, x]) for u in units) for x in range(ring.size)]
         assert ring.associates.dtype == np.int32
         assert ring.associates.tolist() == want, ring.text

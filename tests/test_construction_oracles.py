@@ -4,7 +4,10 @@ A FiniteRing is proved a ring by rings._verify_ring alone, which checks
 the triple axioms on generator slices; here the literal n^3 cubes of
 axiom_oracle must agree with it on every default-corpus ring of at most
 64 elements, on Hypothesis rings, and on one table for each triple axiom
-that breaks that axiom and nothing else.
+that breaks that axiom and nothing else. One table for each check that
+verification makes over pairs (commutativity, both identities,
+additive inverses, 0*x = 0) breaks that check alone and is rejected
+with its message.
 
 ideals.py builds the lattice members, the ideal arithmetic and the
 ideals transported along maps without checking them. Each must equal
@@ -119,6 +122,61 @@ def test_each_broken_triple_axiom_is_rejected_by_the_generator_slices(axiom):
     with pytest.raises(ValueError) as literal:
         verify_triples_literal(add, mul)
     assert str(proved.value).split(" at ")[0] == str(literal.value).split(" at ")[0]
+
+
+def _upper_triangular_f2() -> tuple[np.ndarray, np.ndarray]:
+    """Tables of the 2 x 2 upper triangular matrices over F2, a ring
+    with 1 that is not commutative: [[a, b], [0, d]] is stored at index
+    a + 2*b + 4*(a ^ d), so 0 and 1 sit at indices 0 and 1."""
+    i = np.arange(8)
+    a, b, d = i & 1, i >> 1 & 1, (i ^ i >> 2) & 1
+    pa = a[:, None] & a
+    pb = (a[:, None] & b) ^ (b[:, None] & d)
+    pd = d[:, None] & d
+    return i[:, None] ^ i, pa + 2 * pb + 4 * (pa ^ pd)
+
+
+_Z3_ADD = [[(a + b) % 3 for b in range(3)] for a in range(3)]
+_Z3_MUL = [[a * b % 3 for b in range(3)] for a in range(3)]
+
+# each table, with 0 and 1 at indices 0 and 1, breaks exactly one of the
+# checks verification makes over pairs, and is rejected with its message
+BROKEN_PAIRWISE_TABLES = {
+    "* not commutative at (2, 4)": _upper_triangular_f2(),
+    # 0 + 0 = 1, though every row holds a 0
+    "0 is not an additive identity": (
+        [[1, 0, 2], [0, 1, 0], [2, 0, 1]], _Z3_MUL),
+    # the zero product
+    "1 is not a multiplicative identity": (_Z3_ADD, [[0] * 3] * 3),
+    # + is max: 0 is its identity, and no sum of 1 or 2 is 0
+    "element 1 has no additive inverse": (
+        [[0, 1, 2], [1, 1, 2], [2, 2, 2]], _Z3_MUL),
+    # 0 * 2 = 1
+    "0 * x != 0 for some x": (_Z3_ADD, [[0, 0, 1], [0, 1, 2], [1, 2, 1]]),
+}
+
+
+def _broken_pairwise_checks(add, mul) -> list[str]:
+    """The pairwise checks that fail, with 0 and 1 at indices 0 and 1."""
+    idx = np.arange(len(add))
+    checks = {
+        "not commutative": (add == add.T).all() and (mul == mul.T).all(),
+        "0 is not an additive identity": (add[0] == idx).all(),
+        "1 is not a multiplicative identity": (mul[1] == idx).all(),
+        "has no additive inverse": (add == 0).any(axis=1).all(),
+        "0 * x != 0": (mul[0] == 0).all(),
+    }
+    return [name for name, holds in checks.items() if not holds]
+
+
+@pytest.mark.parametrize("message", list(BROKEN_PAIRWISE_TABLES))
+def test_each_broken_pairwise_check_is_rejected_with_its_message(message):
+    add, mul = (np.array(t) for t in BROKEN_PAIRWISE_TABLES[message])
+    broken = _broken_pairwise_checks(add, mul)
+    assert len(broken) == 1 and broken[0] in message
+    with pytest.raises(ValueError) as err:
+        FiniteRing(add, mul, 0, 1, Zn(len(add)))
+    assert str(err.value) == message
 
 
 def _assert_is_its_validated_twin(p: Ideal, elements) -> None:

@@ -3,14 +3,19 @@
 A FiniteRing, IdealLattice or Ideal gets all its attributes in __init__;
 the only instance-dict entries that may appear later are the values of
 the class's own cached_property descriptors. So classifying, checking
-and printing never attach anything to these objects.
+and printing never attach anything to these objects. Every field of a
+built FiniteRing, the first of its tables or a twin, is named in the
+Attributes list of its docstring.
 """
 
+import inspect
+import re
 from functools import cached_property
 
 import pytest
 
 from idealis import (
+    FiniteRing,
     all_ideals,
     build_ring_text,
     classify,
@@ -71,3 +76,20 @@ def test_no_attribute_is_attached_after_construction(text):
     for p, before in zip(lat, ideal_keys):
         assert _late_keys(p, before) == set(), ideal_text(p)
     assert _late_keys(own, own_keys) == set()
+
+
+def _documented_fields(klass) -> set[str]:
+    """The names that the Attributes list of klass's docstring gives."""
+    listed = inspect.getdoc(klass).split("Attributes:\n", 1)[1]
+    entries = re.findall(r"^    (\w[\w, ]*?)(?: \(|:)", listed, flags=re.MULTILINE)
+    return {name for entry in entries for name in entry.split(", ")}
+
+
+@pytest.mark.parametrize("text", FAMILIES)
+def test_ring_fields_are_documented(text):
+    ring = build_ring_text(text)
+    twin = build_ring_text(text)        # shares the live ring's record
+    assert twin._proven is ring._proven
+    documented = _documented_fields(FiniteRing)
+    for r in _parts(ring) + [twin]:
+        assert set(vars(r)) <= documented, (r.text, set(vars(r)) - documented)

@@ -5,6 +5,8 @@ exactly the (d) for divisors d of n, so lattice size equals the divisor
 count and containment mirrors divisibility.
 """
 
+import importlib
+
 import pytest
 
 from idealis import (
@@ -34,6 +36,9 @@ from idealis import (
     unit_ideal,
     zero_ideal,
 )
+
+
+ideals = importlib.import_module("idealis.ideals")
 
 
 def _divisors(n):
@@ -163,30 +168,34 @@ def test_image_and_preimage_through_projection():
     assert preimage_ideal(proj, zero_ideal(quo)).elements == q4.elements
 
 
-def test_lattice_cap():
+def test_lattice_cap(monkeypatch):
+    monkeypatch.setattr(ideals, "LATTICE_CAP", 5)
     with pytest.raises(LatticeCapExceeded):
-        all_ideals(make_local_algebra(2), cap=5)
+        all_ideals(make_local_algebra(2))
 
 
-def test_lattice_cap_with_only_principal_ideals():
+def test_lattice_cap_with_only_principal_ideals(monkeypatch):
     # every ideal of Z720 (30) and of Z2^6 (64) is principal, so the cap
     # must hold before the closure finds anything new
     boolean = make_zn(2)
     for _ in range(5):
         boolean = make_product(boolean, make_zn(2))
+    monkeypatch.setattr(ideals, "LATTICE_CAP", 5)
     for ring in (make_zn(720), boolean):
         with pytest.raises(LatticeCapExceeded):
-            all_ideals(ring, cap=5)
+            all_ideals(ring)
 
 
-def test_lattice_cap_on_the_product_of_local_lattices():
+def test_lattice_cap_on_the_product_of_local_lattices(monkeypatch):
     # Z2^8 is the product of 8 local lattices of 2 ideals each
     boolean = make_zn(2)
     for _ in range(7):
         boolean = make_product(boolean, make_zn(2))
+    monkeypatch.setattr(ideals, "LATTICE_CAP", 255)
     with pytest.raises(LatticeCapExceeded):
-        all_ideals(boolean, cap=255)
-    assert len(all_ideals(boolean, cap=256)) == 256
+        all_ideals(boolean)
+    monkeypatch.setattr(ideals, "LATTICE_CAP", 256)
+    assert len(all_ideals(boolean)) == 256
 
 
 def test_lattice_cached_on_ring():

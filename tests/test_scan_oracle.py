@@ -11,9 +11,9 @@ weak 2-absorbing search on the corpus ideals it finds hardest, and the
 1-absorbing table on the corpus ideals whose witness is not in the hit
 row of least x*y. The prime and 2-absorbing candidate counts on those
 rings are pinned. The 2-absorbing scan must also agree with the cubes
-and the planes when its blocks are cut to a few words, and both the
-2-absorbing and the 1-absorbing scan with the planes on the rings of the
-fault corpus, whose unit data is damaged.
+and the planes when its blocks are cut to a few words, and the prime,
+the 2-absorbing and the 1-absorbing scans with the planes on the rings
+of the fault corpus, whose unit data is damaged.
 Quotients that share a live ring's tables, and equal ideals built
 outside the lattice, read the witnesses of one shared scan.
 """
@@ -42,6 +42,7 @@ from idealis import (
 )
 from idealis.classify import (
     _scan_one_absorbing,
+    _scan_prime,
     _scan_two_absorbing,
     _triple_zero_classes,
 )
@@ -139,26 +140,18 @@ def test_prime_scan_matches_plane_on_large_rings():
     assert ideals == 207
 
 
-def test_prime_candidate_counts_on_large_rings(monkeypatch):
-    """Candidates the prime scan builds its plane over, summed over the
-    proper ideals of LARGE_RINGS. The whole n x n plane had 36801 (the
-    sum of n); counts, unlike times, hold on any host."""
-    scans = importlib.import_module("idealis.classify")
-    candidates = scans._prime_candidates
-    sizes = []
-
-    def counted(ring, mask):
-        c = candidates(ring, mask)
-        sizes.append(len(c))
-        return c
-    monkeypatch.setattr(scans, "_prime_candidates", counted)
-    ideals = 0
+def test_prime_candidate_counts_on_large_rings():
+    """Candidates the prime scan builds its plane over, the reps of the
+    ring's nonunit_classes outside P, summed over the proper ideals of
+    LARGE_RINGS. The whole n x n plane had 36801 (the sum of n); counts,
+    unlike times, hold on any host."""
+    ideals = candidates = 0
     for text in LARGE_RINGS:
         ring = build_ring_text(text)
         for p in all_ideals(ring).proper:
-            scans._scan_prime(ring, p.mask)     # past the scan memo
+            candidates += int(np.count_nonzero(~p.mask[ring.nonunit_classes.reps]))
             ideals += 1
-    assert (ideals, sum(sizes)) == (207, 5560)
+    assert (ideals, candidates) == (207, 5560)
 
 
 def test_two_absorbing_scan_matches_planes_on_large_rings():
@@ -206,7 +199,7 @@ def test_weak_two_absorbing_search_where_units_matter():
     in 3 of them every coordinate is still the least of its coset."""
     not_least, coset_least_only = [], []
     for ring in build_corpus():
-        units = sorted(ring.units)
+        units = np.flatnonzero(ring.unit_mask)
         for p in all_ideals(ring).proper:
             strict, weak = plane_two_absorbing(p)
             if weak is None:
@@ -321,6 +314,19 @@ def test_one_absorbing_table_matches_planes_on_large_rings():
     assert (w1ap, triples) == (46, 8352882)
 
 
+def test_prime_scan_matches_plane_on_damaged_unit_data():
+    """On rings whose largest unit is marked a nonunit, the reps the
+    prime scan runs over include the least declared nonunit of a class
+    of true units: the scan must still report the plane's witnesses."""
+    ideals = 0
+    for ring in fault_rings():
+        for p in all_ideals(ring).proper:
+            where = (ring.text, p.elements)
+            assert _scan_prime(ring, p.mask) == plane_prime(p), where
+            ideals += 1
+    assert ideals == 156
+
+
 def test_one_absorbing_scan_matches_planes_on_damaged_unit_data():
     """On rings whose largest unit is marked a nonunit, the class of that
     element holds units too: the scan must still report the planes'
@@ -344,8 +350,7 @@ def test_class_triples_count_the_oracle_triple_zeros():
         for p in all_ideals(ring).proper:
             if not is_weakly_one_absorbing_prime(p).holds:
                 continue
-            cl, a, b, c = _triple_zero_classes(ring, p.mask)
-            count = int((cl.sizes[a] * cl.sizes[b] * cl.sizes[c]).sum())
+            count = int(_triple_zero_classes(ring, p.mask)[3].sum())
             assert count == len(oracle_triple_zeros(p)), (ring.text, p.elements)
             tested += count > 0
     assert tested > 100, tested
