@@ -386,6 +386,16 @@ def find_one_triple_zeros(p: Ideal) -> list[tuple[int, int, int]]:
 # independent characterization of the weakly 1-absorbing prime property
 
 
+def _lattice_condition(pt: np.ndarray, le_p: np.ndarray, s: np.ndarray) -> bool:
+    """For each lattice member L in s and each proper ideal J:
+    0 != L*J within P implies L within P or J within P. pt is the
+    product table and le_p the column of le for P."""
+    kp = len(pt) - 1
+    lj = pt[s, :kp]
+    viol = (lj != 0) & le_p[lj] & ~le_p[s, None] & ~le_p[None, :kp]
+    return not viol.any()
+
+
 def tmm_characterize(p: Ideal) -> dict[str, bool]:
     """Six equivalent conditions, each decided by its own scan.
 
@@ -400,48 +410,36 @@ def tmm_characterize(p: Ideal) -> dict[str, bool]:
     (vi)  for proper ideals I, J, K:
           0 != IJK within P implies IJ within P or K within P.
 
-    Conditions (iv) to (vi) quantify over the ideal lattice.
+    No unit changes a condition, so the class reps and their products
+    stand for x, y and w = x*y. (iv) to (vi) are one condition,
+    _lattice_condition, over three sets of lattice members L, exactly:
+    x*I = {x*i} is the ideal (x)I, (xy) = (x)(y) lies in P iff xy does,
+    and (vi) sees I and J only through IJ. So (iv) runs over the (x)(y)
+    outside P, (v) over the (x)I and (vi) over the IJ. (x) is the first
+    member that holds x: members are sorted by size, and (x) lies in
+    every ideal that holds x. The sets index the whole product table:
+    under damaged unit data a declared nonunit can be a unit, with (x)
+    the whole ring.
     """
     _require_proper(p)
     ring, mask = p.ring, p.mask
-    mul, zero = ring.mul, ring.zero
-
     out = {"i": is_weakly_one_absorbing_prime(p).holds}
 
-    # (P : w) and (0 : w) for every w = x*y outside P, one row each; no
-    # unit changes a condition, so rep products and reps stand for w and x
+    # (P : w) and (0 : w) for every w = x*y outside P, one row each
     cl = ring.nonunit_classes
-    ws = cl.ws[~mask[cl.ws]]
-    wz = mul[ws]
-    col, ann = mask[wz], wz == zero
+    wz = ring.mul[cl.ws[~mask[cl.ws]]]
+    col, ann = mask[wz], wz == ring.zero
     out["ii"] = bool((col == (mask | ann)).all())
     out["iii"] = bool(((col == mask).all(axis=1)
                        | (col == ann).all(axis=1)).all())
 
     lat = all_ideals(ring)
     kp = len(lat) - 1                        # proper ideals are the prefix
-    p_idx = lat.index(p)
-    le_p = lat.le[:, p_idx]
-
-    # x*Q containment and nonvanishing for every lattice member Q, by
-    # counting the q in Q with x*q outside P, and with x*q nonzero; the
-    # set {x*i*j} lies in P iff x*(IJ) does, and is nonzero iff x*(IJ) is
-    members, xnz = lat.member_products
-    keys = np.concatenate([ws, cl.reps])
-    xin = (~mask[mul[keys]]).astype(np.float32) @ members == 0
-    xnz = xnz[keys]
-    viol4 = xin[:len(ws), :kp] & xnz[:len(ws), :kp] & ~le_p[None, :kp]
-    out["iv"] = not viol4.any()
-
     pt = lat.product_table
-    pr = pt[:kp, :kp]
-    xin, xnz = xin[len(ws):], xnz[len(ws):]
-    lhs = xnz[:, pr] & xin[:, pr]
-    viol5 = lhs & ~xin[:, :kp, None] & ~le_p[None, None, :kp]
-    out["v"] = not viol5.any()
-
-    prod3 = pt[pr][:, :, :kp]
-    viol6 = ((prod3 != 0) & le_p[prod3]
-             & ~le_p[pr][:, :, None] & ~le_p[None, None, :kp])
-    out["vi"] = not viol6.any()
+    le_p = lat.le[:, lat.index(p)]
+    px = lat.masks[:, cl.reps].argmax(axis=0)       # (x) of every rep x
+    xy = pt[np.ix_(px, px)][~mask[cl.ab]]           # (x)(y) = (xy), xy outside P
+    out["iv"] = _lattice_condition(pt, le_p, np.unique(xy))
+    out["v"] = _lattice_condition(pt, le_p, np.unique(pt[px, :kp]))
+    out["vi"] = _lattice_condition(pt, le_p, np.unique(pt[:kp, :kp]))
     return out

@@ -3,11 +3,11 @@
 Each function follows the definition as directly as it can: the lattice
 closes the principal ideals under pairwise sums with np.unique,
 containment compares every pair of masks elementwise, covers test every
-pair for an ideal strictly between, products are computed pairwise
-with ideal_product, the presentation generators come from a set-based
-greedy that closes all multiples of the generators so far under +
-after each new one, and the radical steps every element through its
-powers. IdealLattice, reduced_generators and the lattice-read radical
+pair for an ideal strictly between, each product is the closure under
++ of the set of products ab, the presentation generators come from a
+set-based greedy that closes all multiples of the generators so far
+under + after each new one, and the radical steps every element through
+its powers. IdealLattice, reduced_generators and the lattice-read radical
 must agree with all of it.
 """
 
@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from idealis import FiniteRing, Ideal, ideal_gen, ideal_product
+from idealis import FiniteRing, Ideal
 
 
 class OracleLattice(NamedTuple):
@@ -48,21 +48,27 @@ def oracle_elements(ring: FiniteRing) -> list[tuple[int, ...]]:
     return sorted(by_key, key=lambda e: (len(e), e))
 
 
+def additive_closure(ring: FiniteRing, seed) -> tuple[int, ...]:
+    """The least set that holds 0 and the seed and is closed under +,
+    as a sorted tuple: add every pairwise sum until none is new."""
+    span = {ring.zero} | set(np.asarray(seed, dtype=np.intp).ravel().tolist())
+    while True:
+        arr = np.asarray(sorted(span), dtype=np.intp)
+        new = set(ring.add[np.ix_(arr, arr)].ravel().tolist())
+        if new <= span:
+            return tuple(arr.tolist())
+        span |= new
+
+
 def oracle_generators(ring: FiniteRing, elements: tuple[int, ...]) -> tuple[int, ...]:
     """Take the least element outside the additive span of all multiples
     of the generators so far, until the span holds every element."""
     gens: list[int] = []
-    span = {ring.zero}
+    span: set[int] = {ring.zero}
     for e in sorted(elements):
         if e not in span:
             gens.append(e)
-            span = set(ring.mul[:, gens].ravel().tolist()) | {ring.zero}
-            while True:
-                arr = np.asarray(sorted(span), dtype=np.intp)
-                new = set(ring.add[np.ix_(arr, arr)].ravel().tolist())
-                if new <= span:
-                    break
-                span |= new
+            span = set(additive_closure(ring, ring.mul[:, gens]))
     return tuple(gens) or (ring.zero,)
 
 
@@ -77,13 +83,13 @@ def oracle_lattice(ring: FiniteRing) -> OracleLattice:
     covers = [(i, int(j)) for i in range(k) for j in np.flatnonzero(strict[i])
               if not (strict[i] & strict[:, j]).any()]
     maximal = [i for i in range(k - 1) if len(np.flatnonzero(le[i])) == 2]
-    ideals = [ideal_gen(ring, els) for els in elements]
+    arrs = [np.asarray(els, dtype=np.intp) for els in elements]
     index_of = {els: i for i, els in enumerate(elements)}
     table = np.zeros((k, k), dtype=np.int32)
     for i in range(k):
         for j in range(i, k):
-            p = ideal_product(ideals[i], ideals[j])
-            table[i, j] = table[j, i] = index_of[p.elements]
+            prods = ring.mul[np.ix_(arrs[i], arrs[j])]
+            table[i, j] = table[j, i] = index_of[additive_closure(ring, prods)]
     generators = [oracle_generators(ring, els) for els in elements]
     return OracleLattice(elements, generators, le, covers, maximal, table)
 

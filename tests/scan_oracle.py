@@ -6,12 +6,14 @@ index np.argwhere returns, which is the lexicographically least. The
 1-triple zeros are every index of their cube, in the same order. The
 scans in idealis.classify must agree with all of it. The cubes need n^3
 memory, so rings above 64 elements are checked against the plane
-searches at the end of this module instead.
+searches at the end of this module instead. oracle_characterize decides
+the six conditions of tmm_characterize from their definitions, (iv) to
+(vi) as cubes over nonunits and lattice members.
 """
 
 import numpy as np
 
-from idealis import Ideal
+from idealis import Ideal, all_ideals
 
 
 def _cube_parts(p: Ideal):
@@ -133,3 +135,49 @@ def plane_triple_zeros(p: Ideal) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         ys.append(yc[yi])
         zs.append(zc[zi])
     return np.concatenate(xs), np.concatenate(ys), np.concatenate(zs)
+
+
+def oracle_characterize(p: Ideal) -> dict[str, bool]:
+    """The six conditions of tmm_characterize, over every nonunit x and
+    y and every w = x*y outside P: (i) by the 1-absorbing planes, (ii)
+    and (iii) by the colon rows of the w, and (iv) to (vi) as cubes.
+    x*Q lies in P when no q in Q has x*q outside P, and is nonzero when
+    some q in Q has x*q != 0, both counted over the member masks of the
+    lattice; the set {x*i*j} lies in P iff x*(IJ) does, and is nonzero
+    iff x*(IJ) is. The lattice's containment matrix and product table
+    are taken as given: lattice_oracle checks them."""
+    ring, mask = p.ring, p.mask
+    mul, zero = ring.mul, ring.zero
+    nu = ring.nonunits
+    out = {"i": plane_one_absorbing(p)[1] is None}
+
+    ws = np.unique(mul[np.ix_(nu, nu)])
+    ws = ws[~mask[ws]]
+    wz = mul[ws]
+    col, ann = mask[wz], wz == zero
+    out["ii"] = bool((col == (mask | ann)).all())
+    out["iii"] = bool(((col == mask).all(axis=1)
+                       | (col == ann).all(axis=1)).all())
+
+    lat = all_ideals(ring)
+    kp = len(lat) - 1
+    le_p = lat.le[:, lat.index(p)]
+    members = lat.masks.T.astype(np.float32)            # [q, Q]: q in Q
+    keys = np.concatenate([ws, nu])
+    xin = (~mask[mul[keys]]).astype(np.float32) @ members == 0
+    xnz = (mul[keys] != zero).astype(np.float32) @ members > 0
+    viol4 = xin[:len(ws), :kp] & xnz[:len(ws), :kp] & ~le_p[None, :kp]
+    out["iv"] = not viol4.any()
+
+    pt = lat.product_table
+    pr = pt[:kp, :kp]
+    xin, xnz = xin[len(ws):], xnz[len(ws):]
+    lhs = xnz[:, pr] & xin[:, pr]
+    viol5 = lhs & ~xin[:, :kp, None] & ~le_p[None, None, :kp]
+    out["v"] = not viol5.any()
+
+    prod3 = pt[pr][:, :, :kp]
+    viol6 = ((prod3 != 0) & le_p[prod3]
+             & ~le_p[pr][:, :, None] & ~le_p[None, None, :kp])
+    out["vi"] = not viol6.any()
+    return out

@@ -249,6 +249,25 @@ def test_two_absorbing_scan_memory_is_quadratic():
         assert peak < 20 * n * n, (p.elements[:4], peak)
 
 
+def test_tmm_characterize_memory_is_quadratic_in_the_lattice():
+    # Conditions (iv) to (vi) read rows of the k x k product table for
+    # sets of at most k members; the lattice and the class record are
+    # built before tracing. On Z2^8 there are k = 256 ideals.
+    ring = build_ring_text(" x ".join(["Z2"] * 8))
+    lat = all_ideals(ring)
+    k = len(lat)
+    assert lat.le.shape == lat.product_table.shape == (k, k) == (256, 256)
+    assert len(ring.nonunit_classes.reps) == 255       # 1 is the only unit
+    for p in lat.proper:
+        tracemalloc.start()
+        try:
+            tmm_characterize(p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * k * k, (p.elements[:4], peak)
+
+
 def _index_rings():
     rings = [r for r in build_corpus() if r.size <= 64]
     return rings + [build_ring_text("Z4 x Z60"), build_ring_text("Idealize(Z64, (4))")]
@@ -292,17 +311,3 @@ def test_associates_match_unit_loop():
         assert not ring.associates.flags.writeable
         with pytest.raises(ValueError):
             ring.associates[0] = 0
-
-
-def test_member_products_match_member_loop():
-    # xnz[x, q]: some member y of ideal q has x*y != 0
-    for ring in _index_rings():
-        lat = all_ideals(ring)
-        members, xnz = lat.member_products
-        assert members.shape == xnz.shape == (ring.size, len(lat))
-        for k, q in enumerate(lat):
-            assert members[:, k].tolist() == q.mask.astype(np.float32).tolist()
-            nonzero = np.zeros(ring.size, dtype=bool)
-            for y in q.elements:
-                nonzero |= ring.mul[:, y] != ring.zero
-            assert xnz[:, k].tolist() == nonzero.tolist(), (ring.text, k)

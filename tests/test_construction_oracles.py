@@ -14,7 +14,8 @@ ideals transported along maps without checking them. Each must equal
 the validated Ideal of the set that defines it, so it passes
 _check_ideal: the lattice members and the images and preimages along
 every quotient and localization map, on the same rings, and the ideal
-arithmetic on the corpus rings.
+arithmetic and the ideal_gen of every member's spanning set on the
+corpus rings.
 """
 
 import numpy as np
@@ -22,6 +23,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from axiom_oracle import verify_triples_literal
+from lattice_oracle import additive_closure
 from idealis import (
     FiniteRing,
     Ideal,
@@ -209,9 +211,11 @@ def assert_maps_transport_ideals(ring) -> None:
 
 def assert_arithmetic_builds_ideals(ring) -> None:
     """Sums, intersections and products of every pair of ideals (i <= j
-    suffices, as they are symmetric), every (I : J), and (I : x) for one
+    suffices, as they are symmetric), every (I : J), (I : x) for one
     generator x of each principal ideal: in a finite ring, (x) = (y)
-    makes y a unit multiple of x, and then (I : x) = (I : y)."""
+    makes y a unit multiple of x, and then (I : x) = (I : y); and the
+    ideal each member's spanning set generates, the additive closure of
+    the multiples of its generators."""
     lat = all_ideals(ring)
     _assert_is_its_validated_twin(zero_ideal(ring), [ring.zero])
     _assert_is_its_validated_twin(unit_ideal(ring), range(ring.size))
@@ -219,6 +223,10 @@ def assert_arithmetic_builds_ideals(ring) -> None:
     principal = [gens[0] for gens in lat.spanning if len(gens) == 1]
     for a, i in enumerate(lat):
         members = set(i.elements)
+        gens = lat.spanning[a]
+        _assert_is_its_validated_twin(
+            ideal_gen(ring, gens),
+            additive_closure(ring, [mul[r][g] for r in range(ring.size) for g in gens]))
         for x in principal:
             _assert_is_its_validated_twin(
                 colon(i, x), [r for r in range(ring.size) if mul[r][x] in members])
@@ -234,7 +242,7 @@ def assert_arithmetic_builds_ideals(ring) -> None:
                 ideal_intersect(i, j), members & set(j.elements))
             prods = [mul[x][y] for x in i.elements for y in j.elements]
             _assert_is_its_validated_twin(ideal_product(i, j),
-                                          ideal_gen(ring, prods).elements)
+                                          additive_closure(ring, prods))
 
 
 def test_default_corpus_trusted_ideals_pass_the_ideal_check(small_corpus):

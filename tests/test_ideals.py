@@ -149,6 +149,21 @@ def test_ideal_equality_and_generators():
     assert len({ideal_gen(r, [4]), ideal_gen(r, [8])}) == 1
 
 
+def test_generators_are_proved_not_given():
+    # A presentation comes from the construction that proved the ideal:
+    # Ideal takes none from its caller, so (3) cannot present {0, 4, 8}
+    # and (13) cannot present anything in Z12.
+    r = make_zn(12)
+    for gens in ([3], [13]):
+        with pytest.raises(TypeError):
+            Ideal(r, [0, 4, 8], generators=gens)
+    p = Ideal(r, [0, 4, 8])
+    assert p.generators == (4,)
+    assert ideal_gen(r, p.generators) == p
+    with pytest.raises(ValueError):
+        ideal_gen(r, [13])
+
+
 def test_nonprincipal_ideal_generators():
     r = make_local_algebra(2)
     lat = all_ideals(r)

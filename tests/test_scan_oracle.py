@@ -3,7 +3,10 @@
 On every default-corpus ring of at most 64 elements and on Hypothesis-
 drawn rings, every proper ideal must get the oracle's six witnesses
 and, when it is weakly 1-absorbing prime, the oracle's 1-triple zeros.
-The six conditions of tmm_characterize must all equal its w1ap verdict.
+The six conditions of tmm_characterize must each equal the reference's,
+and all equal its w1ap verdict; so must they on rings rebuilt under a
+random relabeling of their elements, 0 and 1 included, whose lattice
+must also be lattice_oracle's.
 Above the cubes' 64 elements, the prime scan, the 2-absorbing scan and
 the 1-absorbing table must agree with the plane searches on rings of up
 to 256 elements, the prime scan also on Z720 and Z1024, and so must the
@@ -13,7 +16,8 @@ row of least x*y. The prime and 2-absorbing candidate counts on those
 rings are pinned. The 2-absorbing scan must also agree with the cubes
 and the planes when its blocks are cut to a few words, and the prime,
 the 2-absorbing and the 1-absorbing scans with the planes on the rings
-of the fault corpus, whose unit data is damaged.
+of the fault corpus, whose unit data is damaged, and the six conditions
+of tmm_characterize with the reference's there.
 Quotients that share a live ring's tables, and equal ideals built
 outside the lattice, read the witnesses of one shared scan.
 """
@@ -22,8 +26,10 @@ import importlib
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from idealis import (
+    FiniteRing,
     Ideal,
     all_ideals,
     build_corpus,
@@ -49,6 +55,7 @@ from idealis.classify import (
 from idealis.rings import coset_least
 from fault_corpus import fault_rings
 from scan_oracle import (
+    oracle_characterize,
     oracle_triple_zeros,
     oracle_witnesses,
     plane_one_absorbing,
@@ -56,7 +63,7 @@ from scan_oracle import (
     plane_triple_zeros,
     plane_two_absorbing,
 )
-from test_lattice_oracle import EXPRS, MAX_SIZE
+from test_lattice_oracle import EXPRS, MAX_SIZE, assert_matches_oracle
 
 
 def assert_scans_match_oracle(ring):
@@ -67,7 +74,9 @@ def assert_scans_match_oracle(ring):
         w1ap = rep.verdicts["weaklyOneAbsorbingPrime"]
         if w1ap:
             assert find_one_triple_zeros(p) == oracle_triple_zeros(p), where
-        assert set(tmm_characterize(p).values()) == {w1ap}, where
+        conditions = tmm_characterize(p)
+        assert conditions == oracle_characterize(p), where
+        assert set(conditions.values()) == {w1ap}, where
 
 
 def test_default_corpus_matches_scan_oracle():
@@ -82,6 +91,27 @@ def test_default_corpus_matches_scan_oracle():
 @given(EXPRS)
 def test_random_rings_match_scan_oracle(expr):
     assert_scans_match_oracle(build_ring(expr, cap=MAX_SIZE))
+
+
+def relabeled(ring, perm: np.ndarray) -> FiniteRing:
+    """The ring rebuilt with element a stored at index perm[a]."""
+    old = np.argsort(perm)              # old[i]: the element stored at i
+    tables = (perm[t[np.ix_(old, old)]] for t in (ring.add, ring.mul))
+    return FiniteRing(*tables, int(perm[ring.zero]), int(perm[ring.one]),
+                      ring.provenance)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(EXPRS, st.data())
+def test_relabeled_rings_match_oracles(expr, data):
+    """Every fast path argues about least elements; a relabeled ring
+    moves them, and 0 and 1 with them."""
+    ring = build_ring(expr, cap=MAX_SIZE)
+    perm = np.array(data.draw(st.permutations(range(ring.size))))
+    r = relabeled(ring, perm)
+    assert_matches_oracle(r)
+    assert_scans_match_oracle(r)
 
 
 def test_quotient_twins_match_scan_oracle():
@@ -336,6 +366,18 @@ def test_one_absorbing_scan_matches_planes_on_damaged_unit_data():
         for p in all_ideals(ring).proper:
             where = (ring.text, p.elements)
             assert _scan_one_absorbing(ring, p.mask) == plane_one_absorbing(p), where
+            ideals += 1
+    assert ideals == 156
+
+
+def test_tmm_characterize_matches_reference_on_damaged_unit_data():
+    """On rings whose largest unit is marked a nonunit, that unit is a
+    class rep whose principal ideal is the whole ring: each condition
+    must still be the reference's over the nonunits as declared."""
+    ideals = 0
+    for ring in fault_rings():
+        for p in all_ideals(ring).proper:
+            assert tmm_characterize(p) == oracle_characterize(p), (ring.text, p.elements)
             ideals += 1
     assert ideals == 156
 
