@@ -23,12 +23,16 @@ additive generating set:
   all first arguments by the same induction using distributivity and
   the checked commutativity of *.
 
-Each of these slices, the pairwise checks and scans above, the
-comparison of a build's tables with a live ring's and each table
-equation of a Homomorphism run in blocks of whole rows of at most
-16384 entries, so verification makes no full n x n temporary: a ring of
-at most 128 elements is one block, and a mismatch is reported at its
-first row-major position, as a comparison of the whole tables would.
+Each of these slices, the pairwise checks and scans above, and the
+comparison of a build's tables with a live ring's run in blocks of whole
+rows of at most 16384 entries, so verification makes no full n x n
+temporary: a ring of at most 128 elements is one block, and a mismatch
+is reported at its first row-major position, as a comparison of the
+whole tables would.
+
+A Homomorphism is proved on its source's generating set: its equations
+are compared on the generators' rows alone, and the tests hold that to
+the literal comparison over all n^2 pairs.
 
 This reduction is the only proof a table gets; the tests hold it to the
 literal n^3 triple scans. A build with the exact tables of a live ring
@@ -71,14 +75,17 @@ _VERIFIED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 class _Proven:
     """A verified table pair and the data derived from it, shared by
-    every live ring built with those tables: unit_mask, nonunits, the
-    scan memo, and nonunit_classes and associates once asked for."""
+    every live ring built with those tables: the additive generators the
+    tables were proved on, which every Homomorphism from those rings is
+    proved on too, unit_mask, nonunits, the scan memo, and
+    nonunit_classes and associates once asked for."""
 
-    __slots__ = ("add", "mul", "unit_mask", "nonunits", "scans",
+    __slots__ = ("add", "mul", "generators", "unit_mask", "nonunits", "scans",
                  "nonunit_classes", "associates", "__weakref__")
 
-    def __init__(self, r: FiniteRing):
+    def __init__(self, r: FiniteRing, generators: np.ndarray):
         self.add, self.mul = r.add, r.mul
+        self.generators = generators
         self.unit_mask, self.nonunits = r.unit_mask, r.nonunits
         self.scans = r._scans
         self.nonunit_classes = self.associates = None      # filled on first use
@@ -135,8 +142,7 @@ class FiniteRing:
                  provenance: ex.RingExpr, cap: int | None = None, *,
                  factors: tuple[FiniteRing, FiniteRing] | None = None,
                  idealization: tuple[FiniteRing, Ideal] | None = None):
-        add = np.ascontiguousarray(add, dtype=np.int32)
-        mul = np.ascontiguousarray(mul, dtype=np.int32)
+        add, mul = np.asarray(add), np.asarray(mul)
         if add.ndim != 2 or add.shape[0] != add.shape[1]:
             raise ValueError("addition table must be square")
         n = add.shape[0]
@@ -145,9 +151,7 @@ class FiniteRing:
             raise ValueError("multiplication table shape does not match")
         if n < 2:
             raise ValueError("a ring needs at least the two elements 0 and 1")
-        for t, name in ((add, "add"), (mul, "mul")):
-            if t.min() < 0 or t.max() >= n:
-                raise ValueError(f"{name} table has entries outside 0..{n - 1}")
+        add, mul = _as_int32(add, n, "add table"), _as_int32(mul, n, "mul table")
         if not (0 <= zero < n and 0 <= one < n):
             raise ValueError("zero/one index out of range")
         if zero == one:
@@ -173,7 +177,7 @@ class FiniteRing:
         self.add = add
         self.mul = mul
         self._scans: dict[tuple[int, ...], dict[str, tuple | None]] = {}
-        _verify_ring(self)
+        generators = _verify_ring(self)
 
         self.unit_mask = _per_row(n, lambda rows: (mul[rows] == self.one).any(axis=1))
         self.nonunits = np.flatnonzero(~self.unit_mask).astype(np.int32)
@@ -188,7 +192,7 @@ class FiniteRing:
         mul.setflags(write=False)
         self.unit_mask.setflags(write=False)
         self.nonunits.setflags(write=False)
-        self._proven = _Proven(self)
+        self._proven = _Proven(self, generators)
         _VERIFIED[key] = self._proven
 
     def __setattr__(self, name: str, value) -> None:
@@ -297,7 +301,8 @@ def additive_generators(add: np.ndarray, zero: int) -> list[int]:
     return gens
 
 
-def _verify_ring(r: FiniteRing) -> None:
+def _verify_ring(r: FiniteRing) -> np.ndarray:
+    """Prove r's tables a ring, and return the generators proved on."""
     add, mul, n = r.add, r.mul, r.size
     idx = np.arange(n)
 
@@ -336,6 +341,17 @@ def _verify_ring(r: FiniteRing) -> None:
         if bad:
             a, x = bad
             raise ValueError(f"* not distributive at ({a}, {g}, {x})")
+    gens = np.array(gens, dtype=np.intp)
+    gens.setflags(write=False)
+    return gens
+
+
+def _as_int32(a: np.ndarray, size: int, what: str) -> np.ndarray:
+    """a as a contiguous int32 array, once its entries are checked to be
+    integers in 0..size-1: the cast would wrap or truncate others."""
+    if not np.issubdtype(a.dtype, np.integer) or a.min() < 0 or a.max() >= size:
+        raise ValueError(f"{what} has entries that are not integers in 0..{size - 1}")
+    return np.ascontiguousarray(a, dtype=np.int32)
 
 
 def _row_blocks(n: int):
@@ -370,30 +386,40 @@ def _first_mismatch(n: int, lhs, rhs) -> tuple[int, int] | None:
 
 
 class Homomorphism:
-    """A verified unital ring homomorphism between two finite rings.
+    """A verified unital ring homomorphism between two FiniteRings.
 
-    The defining equations are checked over all pairs at construction.
+    Construction checks f(0) = 0, f(1) = 1, and f(g+b) = f(g)+f(b) and
+    f(g*b) = f(g)*f(b) for every b and every g in the additive generating
+    set S that the source's tables were proved on. That is exact, since
+    both rings are verified: every a is a nonempty sum of generators, as
+    ord(g)*g = 0, and by induction on its length, with a = g + a' for a
+    shorter sum a' that both equations hold for, associativity of + in
+    both rings gives
+        f(a+b) = f(g) + f(a'+b) = f(g) + f(a') + f(b) = f(g+a') + f(b),
+    and then, + holding for all pairs, distributivity in both rings gives
+        f(a*b) = f(g*b) + f(a'*b) = (f(g) + f(a'))*f(b) = f(a)*f(b).
+    A map that fails is rejected at the first (g, b) in the order of S
+    and then of b, a pair at which the equation fails.
     """
 
     def __init__(self, source: FiniteRing, target: FiniteRing, mapping):
-        mapping = np.ascontiguousarray(mapping, dtype=np.int32)
-        if mapping.shape != (source.size,):
+        if not (isinstance(source, FiniteRing) and isinstance(target, FiniteRing)):
+            raise TypeError("a homomorphism maps a FiniteRing to a FiniteRing")
+        f = np.asarray(mapping)
+        if f.shape != (source.size,):
             raise ValueError("mapping must assign every source element")
-        if mapping.min() < 0 or mapping.max() >= target.size:
-            raise ValueError("mapping has values outside the target ring")
-        f = mapping
+        f = _as_int32(f, target.size, "mapping")
         if int(f[source.one]) != target.one:
             raise ValueError("homomorphism must send 1 to 1")
         if int(f[source.zero]) != target.zero:
             raise ValueError("homomorphism must send 0 to 0")
-        n = source.size
+        gens = source._proven.generators
         for op, src, dst in (("+", source.add, target.add),
                              ("*", source.mul, target.mul)):
-            bad = _first_mismatch(n, lambda rows: f[src[rows]],
-                                  lambda rows: dst[np.ix_(f[rows], f)])
+            bad = _first_hit(f[src[gens]] != dst[f[gens][:, None], f])
             if bad:
-                a, b = bad
-                raise ValueError(f"f(a{op}b) != f(a){op}f(b) at ({a}, {b})")
+                i, b = bad
+                raise ValueError(f"f(a{op}b) != f(a){op}f(b) at ({gens[i]}, {b})")
         self.source = source
         self.target = target
         self.mapping = f

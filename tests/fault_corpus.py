@@ -46,13 +46,18 @@ def corrupt_unit_scan(r, fake_nonunit):
     return r
 
 
+def damaged_unit(r) -> int:
+    """The unit the fault corpus marks a nonunit: the ring's largest."""
+    return int(np.flatnonzero(r.unit_mask)[-1])
+
+
 def fault_rings():
     """The damaged corpus: FAULT_TEXTS REPEATS times, each a new ring."""
     rings = []
     for _ in range(REPEATS):
         for text in FAULT_TEXTS:
             r = build_ring_text(text)
-            rings.append(corrupt_unit_scan(r, int(np.flatnonzero(r.unit_mask)[-1])))
+            rings.append(corrupt_unit_scan(r, damaged_unit(r)))
     return rings
 
 

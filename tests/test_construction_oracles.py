@@ -16,16 +16,29 @@ _check_ideal: the lattice members and the images and preimages along
 every quotient and localization map, on the same rings, and the ideal
 arithmetic and the ideal_gen of every member's spanning set on the
 corpus rings.
+
+A Homomorphism is proved on the rows of its source's additive
+generators. On every quotient and localization map of the same rings,
+on single-entry changes of those maps that keep 0 and 1 where they
+are, and on one map that keeps + but not *, it must accept exactly the
+maps the literal comparison over all pairs of axiom_oracle accepts,
+and name in each rejection a generator and a pair at which the first
+equation that fails does fail.
 """
+
+import random
+import re
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from axiom_oracle import verify_triples_literal
+from axiom_oracle import homomorphism_literal, verify_triples_literal
 from lattice_oracle import additive_closure
 from idealis import (
     FiniteRing,
+    Homomorphism,
     Ideal,
     all_ideals,
     build_corpus,
@@ -37,6 +50,7 @@ from idealis import (
     ideal_product,
     ideal_sum,
     image_ideal,
+    make_local_algebra,
     make_localization,
     make_quotient,
     preimage_ideal,
@@ -44,6 +58,7 @@ from idealis import (
     zero_ideal,
 )
 from idealis.expr import Zn
+from idealis.rings import additive_generators
 from idealis.theorems import _cyclic_mult_sets
 from test_lattice_oracle import EXPRS, MAX_SIZE
 
@@ -187,17 +202,22 @@ def _assert_is_its_validated_twin(p: Ideal, elements) -> None:
     assert p == Ideal(p.ring, [int(a) for a in elements]), p
 
 
+def _maps(ring) -> list[Homomorphism]:
+    """Every quotient and localization map of the ring, one per distinct
+    mapping: maps are onto, so a map's target tables follow from its
+    mapping."""
+    maps = [make_quotient(ring, q)[1] for q in all_ideals(ring).proper]
+    maps += [make_localization(ring, s)[1] for s in _cyclic_mult_sets(ring)]
+    return list({f.mapping.tobytes(): f for f in maps}.values())
+
+
 def assert_maps_transport_ideals(ring) -> None:
     """Images under every quotient and localization map of the ring, and
-    preimages of every ideal of their targets. Maps are onto, so a map's
-    target tables follow from its mapping, and each distinct mapping is
-    checked once."""
+    preimages of every ideal of their targets."""
     lat = all_ideals(ring)
-    maps = [make_quotient(ring, q)[1] for q in lat.proper]
-    maps += [make_localization(ring, s)[1] for s in _cyclic_mult_sets(ring)]
     for p in lat:
         _assert_is_its_validated_twin(p, p.elements)
-    for f in {f.mapping.tobytes(): f for f in maps}.values():
+    for f in _maps(ring):
         images = f.mapping.tolist()
         for p in lat:
             _assert_is_its_validated_twin(image_ideal(f, p),
@@ -256,3 +276,62 @@ def test_default_corpus_trusted_ideals_pass_the_ideal_check(small_corpus):
 @given(EXPRS)
 def test_random_rings_trusted_ideals_pass_the_ideal_check(expr):
     assert_maps_transport_ideals(build_ring(expr, cap=MAX_SIZE))
+
+
+_MAP_FAULT = re.compile(r"f\(a(.)b\) != f\(a\)\1f\(b\) at \((\d+), (\d+)\)")
+
+
+def assert_map_check_is_the_literal_one(source, target, mapping) -> None:
+    """Homomorphism accepts a map that keeps 0 and 1 exactly when the
+    literal comparison finds no failing pair, and otherwise names a pair
+    (a, b) of the first equation that fails, with a a generator."""
+    f = np.asarray(mapping)
+    assert f[source.zero] == target.zero and f[source.one] == target.one
+    viol = homomorphism_literal(source, target, f)
+    failing = [op for op, mask in viol.items() if mask.any()]
+    try:
+        Homomorphism(source, target, f)
+    except ValueError as err:
+        op, a, b = _MAP_FAULT.fullmatch(str(err)).groups()
+        assert failing and op == failing[0], (str(err), failing)
+        assert viol[op][int(a), int(b)], str(err)
+        assert int(a) in additive_generators(source.add, source.zero), str(err)
+    else:
+        assert not failing, failing
+
+
+def assert_map_checks_match_the_literal_one(ring, rnd: random.Random) -> None:
+    """Every quotient and localization map of the ring, and three
+    single-entry changes of each, at elements other than 0 and 1."""
+    movable = [a for a in range(ring.size) if a not in (ring.zero, ring.one)]
+    for hom in _maps(ring):
+        assert_map_check_is_the_literal_one(ring, hom.target, hom.mapping)
+        for a in rnd.sample(movable, min(3, len(movable))):
+            changed = np.array(hom.mapping)
+            changed[a] = (changed[a] + rnd.randrange(1, hom.target.size)) % hom.target.size
+            assert_map_check_is_the_literal_one(ring, hom.target, changed)
+
+
+def test_default_corpus_map_checks_match_the_literal_one(small_corpus):
+    rnd = random.Random(0)
+    for ring in small_corpus:
+        assert_map_checks_match_the_literal_one(ring, rnd)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(EXPRS, st.randoms(use_true_random=False))
+def test_random_rings_map_checks_match_the_literal_one(expr, rnd):
+    assert_map_checks_match_the_literal_one(build_ring(expr, cap=MAX_SIZE), rnd)
+
+
+def test_a_map_that_keeps_only_sums_is_rejected_by_the_product_check():
+    """On LocalAlg(2), 1 -> 1, x -> 1 + x, y -> y extended additively
+    keeps + and 1, but (1 + x)^2 = 1 while x^2 = 0. A change of one
+    entry almost always breaks + as well, so this map is the one that
+    only the check of * rejects."""
+    ring = make_local_algebra(2)
+    f = [0, 1, 6, 7, 4, 5, 2, 3]
+    viol = homomorphism_literal(ring, ring, f)
+    assert not viol["+"].any() and viol["*"].any()
+    assert_map_check_is_the_literal_one(ring, ring, f)

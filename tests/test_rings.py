@@ -8,12 +8,14 @@ products, coset arithmetic for quotients.
 import gc
 import importlib
 import math
+import re
 import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from axiom_oracle import homomorphism_literal
 from idealis import (
     CapExceeded,
     FiniteRing,
@@ -74,8 +76,10 @@ def test_zn_build_peak_memory():
 
 
 def test_projection_check_peak_memory():
-    # the projection from Z720 is checked in blocks of rows, near 1.2*n^2
-    # bytes; whole n x n images of the tables peak near 9*n^2
+    # the projection from Z720 is checked on the row of Z720's one
+    # additive generator, and the build peaks near 2.5*n^2 bytes, as it
+    # did with blocks of rows; whole n x n images of the tables peak near
+    # 9*n^2
     n = 720
     r = make_zn(n)
     q = ideal_gen(r, [120])
@@ -182,19 +186,14 @@ def test_corrupt_tables_rejected():
         FiniteRing(add, mul, 0, 0, Zn(6))
 
 
-def _z720_with_bad_product():
-    """Z720's tables with x*y damaged at (100, 200) and (200, 100), past
-    the first block of rows that verification compares."""
+def test_fault_in_a_later_block_is_reported_at_its_first_position():
+    # Z720's tables with x*y damaged at (100, 200) and (200, 100), past
+    # the first block of rows that verification compares
     n = 720
     r = make_zn(n)
     mul = np.array(r.mul)
     assert mul[100, 200] != 7 and rings._BLOCK_ENTRIES // n <= 100
     mul[100, 200] = mul[200, 100] = 7
-    return r, mul
-
-
-def test_fault_in_a_later_block_is_reported_at_its_first_position():
-    r, mul = _z720_with_bad_product()
     add = np.array(r.add)
     assert rings.additive_generators(add, 0) == [1]
     lhs, rhs = mul[:, add[1]], add[mul[:, 1][:, None], mul]
@@ -205,24 +204,20 @@ def test_fault_in_a_later_block_is_reported_at_its_first_position():
     assert str(err.value) == f"* not distributive at ({a}, 1, {x})"
 
 
-def test_map_fault_in_a_later_block_is_reported_at_its_first_position():
-    r, mul = _z720_with_bad_product()
+def test_map_fault_is_reported_at_a_generator_pair():
+    """A damaged image of the projection Z720 -> Z720/(120) is reported
+    at a pair (g, b), with g in Z720's one additive generator, where the
+    literal comparison over all pairs confirms the failure."""
+    r = make_zn(720)
     rq, proj = make_quotient(r, ideal_gen(r, [120]))
-    f, n = proj.mapping, r.size
-    # a source whose product was damaged after verification
-    damaged = SimpleNamespace(size=n, zero=0, one=1, add=r.add, mul=mul)
-    a, b = np.argwhere(f[mul] != rq.mul[np.ix_(f, f)])[0]
-    assert a >= 91
-    with pytest.raises(ValueError) as err:
-        Homomorphism(damaged, rq, f)
-    assert str(err.value) == f"f(a*b) != f(a)*f(b) at ({a}, {b})"
-    # a damaged image first breaks f(a+b) at the row-major first pair
-    bad = np.array(f)
+    bad = np.array(proj.mapping)
     bad[500] = (bad[500] + 1) % rq.size
-    a, b = np.argwhere(bad[r.add] != rq.add[np.ix_(bad, bad)])[0]
     with pytest.raises(ValueError) as err:
         Homomorphism(r, rq, bad)
-    assert str(err.value) == f"f(a+b) != f(a)+f(b) at ({a}, {b})"
+    a, b = (int(v) for v in re.fullmatch(
+        r"f\(a\+b\) != f\(a\)\+f\(b\) at \((\d+), (\d+)\)", str(err.value)).groups())
+    assert a in rings.additive_generators(r.add, r.zero)      # [1]
+    assert homomorphism_literal(r, rq, bad)["+"][a, b]
 
 
 def test_twin_tables_share_the_live_proof(monkeypatch):
@@ -540,6 +535,29 @@ def test_homomorphism_rejects_non_structure_maps():
         Homomorphism(r6, r3, [0] * 6)                 # 1 -> 0
     with pytest.raises(ValueError):
         Homomorphism(r6, r3, [(a + 1) % 3 for a in range(6)])
+
+
+def test_entries_the_int32_cast_would_change_are_refused():
+    """Tables and maps are range-checked before their int32 cast, which
+    would wrap 2^32 to 0 and truncate 3.5 to 3."""
+    r = make_zn(6)
+    add, mul = np.array(r.add, dtype=np.int64), np.array(r.mul)
+    add[0, 0] = 2 ** 32
+    with pytest.raises(ValueError, match="not integers in 0..5"):
+        FiniteRing(add, mul, 0, 1, Zn(6))
+    add = np.array(r.add, dtype=np.float64)
+    add[1, 2] = add[2, 1] = 3.5
+    with pytest.raises(ValueError, match="not integers in 0..5"):
+        FiniteRing(add, mul, 0, 1, Zn(6))
+    m = np.arange(6, dtype=np.int64)
+    m[1] = 2 ** 32 + 1
+    with pytest.raises(ValueError, match="not integers in 0..5"):
+        Homomorphism(r, r, m)
+    with pytest.raises(ValueError, match="not integers in 0..5"):
+        Homomorphism(r, r, np.arange(6, dtype=np.float64))
+    with pytest.raises(TypeError):
+        Homomorphism(SimpleNamespace(size=6, zero=0, one=1, add=r.add, mul=r.mul),
+                     r, np.arange(6))
 
 
 def test_homomorphism_flags():

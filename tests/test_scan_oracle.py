@@ -17,12 +17,14 @@ rings are pinned. The 2-absorbing scan must also agree with the cubes
 and the planes when its blocks are cut to a few words, and the prime,
 the 2-absorbing and the 1-absorbing scans with the planes on the rings
 of the fault corpus, whose unit data is damaged, and the six conditions
-of tmm_characterize with the reference's there.
+of tmm_characterize with the reference's there, also when each of those
+rings is relabeled and then damaged.
 Quotients that share a live ring's tables, and equal ideals built
 outside the lattice, read the witnesses of one shared scan.
 """
 
 import importlib
+from itertools import chain
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
@@ -53,7 +55,7 @@ from idealis.classify import (
     _triple_zero_classes,
 )
 from idealis.rings import coset_least
-from fault_corpus import fault_rings
+from fault_corpus import FAULT_TEXTS, corrupt_unit_scan, damaged_unit, fault_rings
 from scan_oracle import (
     oracle_characterize,
     oracle_triple_zeros,
@@ -337,7 +339,9 @@ def test_one_absorbing_table_matches_planes_on_large_rings():
             if weak is not None:
                 continue
             w1ap += 1
-            got = np.array(find_one_triple_zeros(p), dtype=np.intp).reshape(-1, 3)
+            zeros = find_one_triple_zeros(p)
+            got = np.fromiter(chain.from_iterable(zeros), dtype=np.intp,
+                              count=3 * len(zeros)).reshape(-1, 3)
             want = np.stack(plane_triple_zeros(p), axis=1)
             assert np.array_equal(got, want), where
             triples += len(want)
@@ -379,6 +383,30 @@ def test_tmm_characterize_matches_reference_on_damaged_unit_data():
         for p in all_ideals(ring).proper:
             assert tmm_characterize(p) == oracle_characterize(p), (ring.text, p.elements)
             ideals += 1
+    assert ideals == 156
+
+
+def test_relabeled_fault_corpus_matches_the_references():
+    """Each ring of the fault corpus rebuilt under three random
+    relabelings, 0 and 1 included, and damaged again at the relabeled
+    index of its damaged unit: the least elements that the scans argue
+    about move, and the declared unit data is still wrong. The prime,
+    2-absorbing and 1-absorbing witnesses must be the planes', and the
+    six conditions of tmm_characterize the reference's."""
+    rng = np.random.default_rng(0)
+    ideals = 0
+    for _ in range(3):
+        for text in FAULT_TEXTS:
+            ring = build_ring_text(text)
+            perm = rng.permutation(ring.size)
+            r = corrupt_unit_scan(relabeled(ring, perm), int(perm[damaged_unit(ring)]))
+            for p in all_ideals(r).proper:
+                where = (text, perm.tolist(), p.elements)
+                assert _scan_prime(r, p.mask) == plane_prime(p), where
+                assert _scan_two_absorbing(r, p.mask) == plane_two_absorbing(p), where
+                assert _scan_one_absorbing(r, p.mask) == plane_one_absorbing(p), where
+                assert tmm_characterize(p) == oracle_characterize(p), where
+                ideals += 1
     assert ideals == 156
 
 
