@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import LatticeCapExceeded, RingMismatch
-from .rings import FiniteRing, Homomorphism
+from .rings import FiniteRing, Homomorphism, _as_int32
 
 LATTICE_CAP = 100000
 
@@ -38,7 +38,8 @@ class Ideal:
 
     def __init__(self, ring: FiniteRing, elements: Sequence[int]):
         self.ring = ring
-        self.elements = tuple(sorted({int(a) for a in elements}))
+        self.elements = tuple(np.unique(_as_int32(list(elements), ring.size,
+                                                  "ideal elements")).tolist())
         _check_ideal(ring, self.elements)
         self.given_generators = None
 
@@ -98,8 +99,6 @@ def _check_ideal(ring: FiniteRing, elements: tuple[int, ...]) -> None:
     arr = np.asarray(elements, dtype=np.intp)
     if len(arr) == 0:
         raise ValueError("an ideal contains at least 0")
-    if arr.min() < 0 or arr.max() >= ring.size:
-        raise ValueError("ideal elements outside the ring")
     mask = np.zeros(ring.size, dtype=bool)
     mask[arr] = True
     if not mask[ring.zero]:
@@ -127,10 +126,7 @@ def ideal_gen(ring: FiniteRing, gens: Iterable[int]) -> Ideal:
     the sum of the principal ideals (g) = {r*g}, each one an ideal, as
     (r + s)g = rg + sg and s(rg) = (sr)g; it is grown from {0} one
     _span_plus step per generator."""
-    gens = tuple(int(g) for g in gens)
-    for g in gens:
-        if not 0 <= g < ring.size:
-            raise ValueError(f"element index {g} outside the ring")
+    gens = tuple(_as_int32(list(gens), ring.size, "generators").tolist())
     span = np.arange(ring.size) == ring.zero     # {0}
     for g in gens:
         span = _span_plus(ring, span, ring.mul[:, g])

@@ -35,10 +35,13 @@ are compared on the generators' rows alone, and the tests hold that to
 the literal comparison over all n^2 pairs.
 
 This reduction is the only proof a table gets; the tests hold it to the
-literal n^3 triple scans. A build with the exact tables of a live ring
-(compared in full, never by digest alone) shares their proof, which
-lives as long as any ring built with them. The tables are read-only,
-and `add` and `mul` cannot be rebound.
+literal n^3 triple scans. What it proves lives in one _Proven record:
+the tables, their generators, the unit data, the scan memo and the
+class record. A build with the exact tables of a live ring (compared in
+full, never by digest alone) shares that record, which lives as long as
+any ring built with them. A ring reads each fact through a read-only
+property of its record, and every array there is read-only, so neither
+the tables nor the unit data can be rebound or written.
 """
 
 from __future__ import annotations
@@ -74,21 +77,25 @@ _VERIFIED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 class _Proven:
-    """A verified table pair and the data derived from it, shared by
-    every live ring built with those tables: the additive generators the
-    tables were proved on, which every Homomorphism from those rings is
-    proved on too, unit_mask, nonunits, the scan memo, and
-    nonunit_classes and associates once asked for."""
+    """A verified table pair and what is derived from it, shared by every
+    live ring built with those tables: the additive generators the tables
+    were proved on, which every Homomorphism from those rings is proved
+    on too, unit_mask, nonunits (the ascending int32 indices unit_mask
+    leaves out), the scan memo, and nonunit_classes and associates, None
+    until a ring asks. Every array is made read-only here."""
 
     __slots__ = ("add", "mul", "generators", "unit_mask", "nonunits", "scans",
                  "nonunit_classes", "associates", "__weakref__")
 
-    def __init__(self, r: FiniteRing, generators: np.ndarray):
-        self.add, self.mul = r.add, r.mul
-        self.generators = generators
-        self.unit_mask, self.nonunits = r.unit_mask, r.nonunits
-        self.scans = r._scans
-        self.nonunit_classes = self.associates = None      # filled on first use
+    def __init__(self, add: np.ndarray, mul: np.ndarray, generators: np.ndarray,
+                 unit_mask: np.ndarray):
+        self.add, self.mul, self.generators = add, mul, generators
+        self.unit_mask = unit_mask
+        self.nonunits = np.flatnonzero(~unit_mask).astype(np.int32)
+        for a in (add, mul, generators, unit_mask, self.nonunits):
+            a.setflags(write=False)
+        self.scans: dict[tuple[int, ...], dict[str, tuple | None]] = {}
+        self.nonunit_classes = self.associates = None
 
 
 def element_cap() -> int:
@@ -109,34 +116,44 @@ def _check_cap(n: int, cap: int | None) -> None:
 class FiniteRing:
     """A verified finite commutative ring with identity. Each distinct
     table is verified in full; a build with a live ring's exact tables
-    shares the _Proven record of their first verification: the tables,
-    unit data and _scans, and nonunit_classes and associates once some
-    twin has asked for them.
+    shares the _Proven record of their first verification. The ring keeps
+    only its own data and that record, and reads every fact of its
+    tables from the record.
 
     Attributes:
         size: number of elements.
-        add, mul: dense int32 operation tables, read-only and set once.
         zero, one: indices of the additive and multiplicative identities.
-        unit_mask: read-only boolean array marking the units.
-        nonunits: read-only ascending int32 nonunit indices, zero included.
-        nonunit_classes (computed on first use, kept on _proven): a
+        add, mul (record properties): dense read-only int32 operation
+            tables.
+        unit_mask (record property): read-only boolean array marking the
+            units.
+        nonunits (record property): read-only ascending int32 nonunit
+            indices, zero included.
+        nonunit_classes (record property, computed on first use): a
             NonunitClasses of the nonunits' associate classes: reps, the
             least nonunit of each, ascending; sizes, the nonunits in
             each; ab = mul on reps x reps; ws, the distinct values of ab
             in first-occurrence order; first[k], the row-major index in
             ab of the first rep pair giving ws[k], so first ascends.
-        associates (computed on first use, kept on _proven):
+        associates (record property, computed on first use):
             associates[x] is the least u*x over the units u, n read-only
             int32 values.
+        _scans (record property): witnesses per verdict key, keyed by
+            ideal elements.
         provenance: the construction expression.
         _lattice: the IdealLattice of all_ideals(ring) once built, else None.
-        _scans: witnesses per verdict key, keyed by ideal elements.
         _proven: the _Proven record this ring shares with its twins.
         factors: (left, right) for a direct product, else None; element
             (a, b) is stored at index a*right.size + b.
         idealization: (base, j) for the trivial extension base (+) base/j,
             else None; element (a, m) is stored at index a*module_size + m.
     """
+
+    add = property(lambda self: self._proven.add)
+    mul = property(lambda self: self._proven.mul)
+    unit_mask = property(lambda self: self._proven.unit_mask)
+    nonunits = property(lambda self: self._proven.nonunits)
+    _scans = property(lambda self: self._proven.scans)
 
     def __init__(self, add, mul, zero: int, one: int,
                  provenance: ex.RingExpr, cap: int | None = None, *,
@@ -152,77 +169,41 @@ class FiniteRing:
         if n < 2:
             raise ValueError("a ring needs at least the two elements 0 and 1")
         add, mul = _as_int32(add, n, "add table"), _as_int32(mul, n, "mul table")
-        if not (0 <= zero < n and 0 <= one < n):
-            raise ValueError("zero/one index out of range")
+        zero, one = _as_int32([zero, one], n, "(zero, one)").tolist()
         if zero == one:
             raise ValueError("one == zero: the zero ring is not admitted")
 
         self.size = n
-        self.zero = int(zero)
-        self.one = int(one)
+        self.zero = zero
+        self.one = one
         self.provenance = provenance
         self.factors = factors
         self.idealization = idealization
         self._lattice: IdealLattice | None = None    # filled by all_ideals
 
-        key = (n, self.zero, self.one, zlib.crc32(mul, zlib.crc32(add)))
+        key = (n, zero, one, zlib.crc32(mul, zlib.crc32(add)))
         proven = _VERIFIED.get(key)
-        if (proven is not None
-                and _first_mismatch(n, proven.add.__getitem__, add.__getitem__) is None
-                and _first_mismatch(n, proven.mul.__getitem__, mul.__getitem__) is None):
-            self._proven = proven
-            self.add, self.mul, self._scans = proven.add, proven.mul, proven.scans
-            self.unit_mask, self.nonunits = proven.unit_mask, proven.nonunits
-            return
-        self.add = add
-        self.mul = mul
-        self._scans: dict[tuple[int, ...], dict[str, tuple | None]] = {}
-        generators = _verify_ring(self)
-
-        self.unit_mask = _per_row(n, lambda rows: (mul[rows] == self.one).any(axis=1))
-        self.nonunits = np.flatnonzero(~self.unit_mask).astype(np.int32)
-
-        # a finite commutative ring has no regular nonunits; checking the
-        # scan result against the unit scan guards both computations
-        regular = _per_row(n, lambda rows: (mul[rows] == self.zero).sum(axis=1) == 1)
-        if not np.array_equal(regular, self.unit_mask):
-            raise ValueError("regular elements disagree with units; tables corrupt")
-
-        add.setflags(write=False)
-        mul.setflags(write=False)
-        self.unit_mask.setflags(write=False)
-        self.nonunits.setflags(write=False)
-        self._proven = _Proven(self, generators)
-        _VERIFIED[key] = self._proven
-
-    def __setattr__(self, name: str, value) -> None:
-        # a guard on assignment, so reads of add and mul stay plain reads
-        if name in ("add", "mul") and name in self.__dict__:
-            raise AttributeError(f"FiniteRing.{name} is fixed once the ring exists")
-        object.__setattr__(self, name, value)
+        if (proven is None
+                or _first_mismatch(n, proven.add.__getitem__, add.__getitem__) is not None
+                or _first_mismatch(n, proven.mul.__getitem__, mul.__getitem__) is not None):
+            proven = _VERIFIED[key] = _verify_ring(add, mul, zero, one)
+        self._proven = proven
 
     @property
     def nonunit_classes(self) -> NonunitClasses:
-        return self._derived("nonunit_classes", _nonunit_classes)
+        proven = self._proven
+        if proven.nonunit_classes is None:
+            proven.nonunit_classes = _nonunit_classes(self)
+        return proven.nonunit_classes
 
     @property
     def associates(self) -> np.ndarray:
         """associates[x] is the least u*x over the units u: the least
         member of x's associate class."""
-        return self._derived("associates", _associates)
-
-    def _derived(self, name: str, compute):
-        """compute(self), kept on the _Proven record and so computed once
-        for all twins; a ring whose unit data was rebound after its build
-        gets its own value, uncached."""
         proven = self._proven
-        if self.unit_mask is not proven.unit_mask or self.nonunits is not proven.nonunits:
-            return compute(self)
-        value = getattr(proven, name)
-        if value is None:
-            value = compute(self)
-            setattr(proven, name, value)
-        return value
+        if proven.associates is None:
+            proven.associates = _associates(self)
+        return proven.associates
 
     @property
     def text(self) -> str:
@@ -301,9 +282,10 @@ def additive_generators(add: np.ndarray, zero: int) -> list[int]:
     return gens
 
 
-def _verify_ring(r: FiniteRing) -> np.ndarray:
-    """Prove r's tables a ring, and return the generators proved on."""
-    add, mul, n = r.add, r.mul, r.size
+def _verify_ring(add: np.ndarray, mul: np.ndarray, zero: int, one: int) -> _Proven:
+    """Prove the int32 tables a ring with identities zero and one, scan
+    its units, and return the record of what was proved."""
+    n = len(add)
     idx = np.arange(n)
 
     for op, t in (("+", add), ("*", mul)):
@@ -311,17 +293,17 @@ def _verify_ring(r: FiniteRing) -> np.ndarray:
         if bad:
             x, y = bad
             raise ValueError(f"{op} not commutative at ({x}, {y})")
-    if not np.array_equal(add[r.zero], idx):
+    if not np.array_equal(add[zero], idx):
         raise ValueError("0 is not an additive identity")
-    if not np.array_equal(mul[r.one], idx):
+    if not np.array_equal(mul[one], idx):
         raise ValueError("1 is not a multiplicative identity")
-    has_neg = _per_row(n, lambda rows: (add[rows] == r.zero).any(axis=1))
+    has_neg = _per_row(n, lambda rows: (add[rows] == zero).any(axis=1))
     if not has_neg.all():
         raise ValueError(f"element {int(np.argmin(has_neg))} has no additive inverse")
-    if not (mul[r.zero] == r.zero).all():
+    if not (mul[zero] == zero).all():
         raise ValueError("0 * x != 0 for some x")
 
-    gens = additive_generators(add, r.zero)
+    gens = additive_generators(add, zero)
     for g in gens:
         # Light's test slice for +: (x+g)+y == x+(g+y)
         bad = _first_mismatch(n, lambda rows: add[add[rows, g]],
@@ -341,15 +323,23 @@ def _verify_ring(r: FiniteRing) -> np.ndarray:
         if bad:
             a, x = bad
             raise ValueError(f"* not distributive at ({a}, {g}, {x})")
-    gens = np.array(gens, dtype=np.intp)
-    gens.setflags(write=False)
-    return gens
+
+    unit_mask = _per_row(n, lambda rows: (mul[rows] == one).any(axis=1))
+    # a finite commutative ring has no regular nonunits; checking the
+    # scan result against the unit scan guards both computations
+    regular = _per_row(n, lambda rows: (mul[rows] == zero).sum(axis=1) == 1)
+    if not np.array_equal(regular, unit_mask):
+        raise ValueError("regular elements disagree with units; tables corrupt")
+    return _Proven(add, mul, np.array(gens, dtype=np.intp), unit_mask)
 
 
-def _as_int32(a: np.ndarray, size: int, what: str) -> np.ndarray:
+def _as_int32(a, size: int, what: str) -> np.ndarray:
     """a as a contiguous int32 array, once its entries are checked to be
-    integers in 0..size-1: the cast would wrap or truncate others."""
-    if not np.issubdtype(a.dtype, np.integer) or a.min() < 0 or a.max() >= size:
+    integers in 0..size-1: the cast would wrap or truncate others, and
+    int() would truncate a float or parse a string. An empty a passes,
+    so that each caller keeps its own error for it."""
+    a = np.asarray(a)
+    if a.size and (a.dtype.kind not in "iu" or a.min() < 0 or a.max() >= size):
         raise ValueError(f"{what} has entries that are not integers in 0..{size - 1}")
     return np.ascontiguousarray(a, dtype=np.int32)
 
@@ -538,11 +528,9 @@ def make_localization(r: FiniteRing, s: Iterable[int],
     each class by the least index a*|S| + (position of t in sorted S) of
     a pair (a, t) with a/t in it.
     """
-    s_idx = np.asarray(sorted({int(a) for a in s}), dtype=np.intp)
+    s_idx = np.unique(_as_int32(list(s), r.size, "S"))
     if len(s_idx) == 0:
         raise NotMultClosed("S is empty")
-    if (s_idx < 0).any() or (s_idx >= r.size).any():
-        raise ValueError("S contains indices outside the ring")
     if r.zero in s_idx:
         raise ZeroInS("S contains 0")
     if r.one not in s_idx:

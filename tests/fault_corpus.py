@@ -8,10 +8,13 @@ rendered with `render_checks`. `tests/golden/verify_fault.txt` holds the
 output, so the failure records, the truncation lines and the outcomes
 stay byte-stable.
 
-The damage stays with the ring it was done to. Each build with a live
-ring's tables, whether a repeat in the list or a ring that a check
-derives (a quotient by the zero ideal, say), starts from the unit data
-that the verification of those tables found.
+A ring's unit data cannot be rebound or written, so the damage is done
+by replacing the ring's _Proven record with a forged copy that holds
+the damaged unit data. The copy is in no registry and so stays with
+the ring it was given to. Each build with the same tables, whether a
+repeat in the list or a ring that a check derives (a quotient by the
+zero ideal, say), starts from the unit data that the verification of
+those tables found.
 
 Regenerate the golden only when an output is meant to change:
 
@@ -27,6 +30,7 @@ import numpy as np
 
 from idealis import CHECK_ORDER, CHECKS, build_ring_text
 from idealis.cli import render_checks
+from idealis.rings import _Proven
 
 GOLDEN = Path(__file__).parent / "golden" / "verify_fault.txt"
 
@@ -36,13 +40,14 @@ REPEATS = 3
 
 
 def corrupt_unit_scan(r, fake_nonunit):
-    """Damage the ring's derived unit data in place, as if the unit scan
-    over the multiplication table had gone wrong."""
-    um = r.unit_mask.copy()
-    um[fake_nonunit] = False
-    r.unit_mask = um
-    r.nonunits = np.flatnonzero(~um).astype(np.int32)
-    r._scans = {}       # the scan memo belongs to the tables it was proved on
+    """Give the ring a damaged copy of its proof record, as if the unit
+    scan over the multiplication table had gone wrong: the same tables
+    and generators, fake_nonunit marked a nonunit, an empty scan memo and
+    no class record."""
+    proven = r._proven
+    unit_mask = proven.unit_mask.copy()
+    unit_mask[fake_nonunit] = False
+    r._proven = _Proven(proven.add, proven.mul, proven.generators, unit_mask)
     return r
 
 

@@ -20,12 +20,14 @@ from idealis import (
     CapExceeded,
     FiniteRing,
     Homomorphism,
+    Ideal,
     ImproperIdeal,
     NotMultClosed,
     NotPrime,
     ZeroInS,
     all_ideals,
     build_corpus,
+    build_ring_text,
     classify,
     ideal_gen,
     make_idealization,
@@ -220,16 +222,22 @@ def test_map_fault_is_reported_at_a_generator_pair():
     assert homomorphism_literal(r, rq, bad)["+"][a, b]
 
 
+def _counting_proofs(monkeypatch) -> list[int]:
+    """The sizes of the tables rings._verify_ring proves from now on."""
+    verified = []
+    verify = rings._verify_ring
+    monkeypatch.setattr(rings, "_verify_ring", lambda add, mul, zero, one:
+                        verified.append(len(add)) or verify(add, mul, zero, one))
+    return verified
+
+
 def test_twin_tables_share_the_live_proof(monkeypatch):
     gc.collect()                        # no Z4 or Z12 of an earlier test is alive
     z4 = make_zn(4)
-    verified = []
-    verify = rings._verify_ring
-    monkeypatch.setattr(rings, "_verify_ring",
-                        lambda r: verified.append(r.text) or verify(r))
+    verified = _counting_proofs(monkeypatch)
     z12 = make_zn(12)
     rq, _ = make_quotient(z12, ideal_gen(z12, [4]))
-    assert verified == ["Z12"]          # Z12/(4) has exactly Z4's tables
+    assert verified == [12]             # Z12/(4) has exactly Z4's tables
     assert rq.mul is z4.mul and rq.add is z4.add
     assert rq.unit_mask is z4.unit_mask and rq.nonunits is z4.nonunits
     assert rq._scans is z4._scans
@@ -243,19 +251,40 @@ def test_twin_tables_share_the_live_proof(monkeypatch):
 def test_twins_share_the_proof_not_the_first_ring(monkeypatch):
     gc.collect()                        # no Z6 of an earlier test is alive
     first = make_zn(6)
-    unit_mask = first.unit_mask
-    first.unit_mask = np.zeros(6, dtype=bool)     # rebinding one ring's data reaches no twin
+    proven = first._proven
+    # replacing one ring's record, as the fault corpus does, reaches no
+    # twin: this forged one leaves Z6 no unit
+    first._proven = rings._Proven(proven.add, proven.mul, proven.generators,
+                                  np.zeros(6, dtype=bool))
     twin = make_zn(6)
-    assert twin.unit_mask is unit_mask
-    del first
+    assert twin._proven is proven and twin.unit_mask is proven.unit_mask
+    shared = twin.nonunit_classes, twin.associates
+    own = first.nonunit_classes
+    assert own.reps.tolist() == list(range(6)) and own.sizes.tolist() == [1] * 6
+    assert np.array_equal(own.ab, first.mul)
+    assert first.associates.tolist() == list(range(6))
+    assert first.associates.dtype == np.int32 and not first.associates.flags.writeable
+    assert make_zn(6).nonunit_classes is shared[0]
+    assert make_zn(6).associates is shared[1]
+    assert shared[0].reps.tolist() == [0, 2, 3] and shared[0].sizes.tolist() == [1, 2, 1]
+    del first, proven
     gc.collect()
-    verified = []
-    verify = rings._verify_ring
-    monkeypatch.setattr(rings, "_verify_ring",
-                        lambda r: verified.append(r.text) or verify(r))
+    verified = _counting_proofs(monkeypatch)
     again = make_zn(6)
     assert verified == []               # the live twin keeps the proof
     assert again._scans is twin._scans and again.mul is twin.mul
+
+
+def test_a_ring_holds_only_its_own_data_and_its_record():
+    """A first build and a twin alike keep no fact of their tables: each
+    is read from the shared record."""
+    own = {"size", "zero", "one", "provenance", "factors", "idealization",
+           "_lattice", "_proven"}
+    for text in ("Z12", "Z2 x Z4/(2)", "Loc(Z12, 1, 3, 9)", "Idealize(Z4, (2))"):
+        first, twin = build_ring_text(text), build_ring_text(text)
+        assert twin._proven is first._proven
+        for r in (first, twin, *(first.factors or ())):
+            assert set(vars(r)) == own, r.text
 
 
 def test_twins_derive_nonunit_classes_and_associates_once(monkeypatch):
@@ -275,22 +304,6 @@ def test_twins_derive_nonunit_classes_and_associates_once(monkeypatch):
     run_checks(build_corpus())
     for name, keys in computed.items():
         assert len(keys) == len(set(keys)) > 200, (name, len(keys), len(set(keys)))
-
-
-def test_rebound_unit_data_derives_its_own_values():
-    z6 = make_zn(6)
-    twin = make_zn(6)
-    shared = z6.nonunit_classes, z6.associates
-    twin.unit_mask = np.zeros(6, dtype=bool)     # as a fault hook would: no unit left
-    twin.nonunits = np.arange(6, dtype=np.int32)
-    own = twin.nonunit_classes
-    assert own.reps.tolist() == list(range(6)) and own.sizes.tolist() == [1] * 6
-    assert np.array_equal(own.ab, twin.mul)
-    assert twin.associates.tolist() == list(range(6))
-    assert twin.associates.dtype == np.int32 and not twin.associates.flags.writeable
-    assert make_zn(6).nonunit_classes is shared[0]
-    assert make_zn(6).associates is shared[1]
-    assert shared[0].reps.tolist() == [0, 2, 3] and shared[0].sizes.tolist() == [1, 2, 1]
 
 
 def _rejections(add, mul) -> list[str]:
@@ -538,8 +551,9 @@ def test_homomorphism_rejects_non_structure_maps():
 
 
 def test_entries_the_int32_cast_would_change_are_refused():
-    """Tables and maps are range-checked before their int32 cast, which
-    would wrap 2^32 to 0 and truncate 3.5 to 3."""
+    """Tables, maps, identities, S and ideal elements are checked to be
+    integers in range before their int32 cast, which would wrap 2^32 to
+    0 and truncate 3.5 to 3, as int() would too."""
     r = make_zn(6)
     add, mul = np.array(r.add, dtype=np.int64), np.array(r.mul)
     add[0, 0] = 2 ** 32
@@ -558,6 +572,22 @@ def test_entries_the_int32_cast_would_change_are_refused():
     with pytest.raises(TypeError):
         Homomorphism(SimpleNamespace(size=6, zero=0, one=1, add=r.add, mul=r.mul),
                      r, np.arange(6))
+    with pytest.raises(ValueError, match="not integers in 0..5"):
+        FiniteRing(r.add, r.mul, 0.7, 1.2, Zn(6))
+    z12 = make_zn(12)
+    with pytest.raises(ValueError, match="not integers in 0..11"):
+        make_localization(z12, [1, 3.7, 9])
+    for gens in ([4.5], ["4"]):
+        with pytest.raises(ValueError, match="not integers in 0..11"):
+            ideal_gen(z12, gens)
+    with pytest.raises(ValueError, match="not integers in 0..11"):
+        Ideal(z12, [0, 4.9, 8])
+    # an empty S or generator list keeps its own outcome
+    with pytest.raises(NotMultClosed, match="S is empty"):
+        make_localization(z12, [])
+    assert ideal_gen(z12, []).is_zero
+    with pytest.raises(ValueError, match="contains at least 0"):
+        Ideal(z12, [])
 
 
 def test_homomorphism_flags():

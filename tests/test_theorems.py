@@ -242,11 +242,10 @@ def test_fault_corpus_matches_its_golden():
     assert render_fault_corpus() == golden
 
 
-def _assert_table_damage_is_refused(name: str, at: tuple[int, int], value: int,
-                                    message: str):
-    """A verified ring's tables cannot be damaged where the harness would
-    read them: rebinding is refused, the arrays are read-only, and a ring
-    built from the damaged table fails verification."""
+def _assert_table_damage_is_refused(name: str, at, value, message: str | None):
+    """A verified ring's tables and unit data cannot be damaged where the
+    harness would read them: rebinding is refused, the arrays are
+    read-only, and a ring built from a damaged table fails verification."""
     r = make_zn(9)
     damaged = np.array(getattr(r, name))
     damaged[at] = value
@@ -254,15 +253,21 @@ def _assert_table_damage_is_refused(name: str, at: tuple[int, int], value: int,
         setattr(r, name, damaged)
     with pytest.raises(ValueError):
         getattr(r, name)[at] = value
-    tables = {"add": np.array(r.add), "mul": np.array(r.mul), name: damaged}
-    with pytest.raises(ValueError, match=message):
-        FiniteRing(tables["add"], tables["mul"], 0, 1, Zn(9))
+    if message is not None:             # unit data is no input of a build
+        tables = {"add": np.array(r.add), "mul": np.array(r.mul), name: damaged}
+        with pytest.raises(ValueError, match=message):
+            FiniteRing(tables["add"], tables["mul"], 0, 1, Zn(9))
     assert getattr(r, name)[at] != value
     assert len(all_ideals(r)) == 3
 
 
-def test_corrupt_table_cannot_reach_the_harness():
-    _assert_table_damage_is_refused("mul", (2, 2), 1, "not distributive")
+@pytest.mark.parametrize("name, at, value, message", [
+    ("mul", (2, 2), 1, "not distributive"),
+    ("unit_mask", 1, False, None),
+    ("nonunits", 1, 1, None),
+], ids=["mul", "unit_mask", "nonunits"])
+def test_corrupt_table_cannot_reach_the_harness(name, at, value, message):
+    _assert_table_damage_is_refused(name, at, value, message)
 
 
 def test_corrupt_add_table_cannot_reach_the_harness():
