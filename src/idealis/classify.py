@@ -61,18 +61,19 @@ the strict search runs over the orbit representatives only: the
 nonunits outside P that are the least member of their orbit. An orbit
 with a violation holds no unit, so its least member is such a nonunit.
 That member is the least coset_least value over the associate class of
-x, read through the ring's associates in one pass over the elements.
+x, one minimum per class of the ring's nonunit_classes.
 
 The weak condition x*y*z != 0 does not pass to cosets, but it passes to
-associates, so the least weak violation is made of elements that are
-their own least associate. A weak violation is a strict one, so each of
-its orbits holds a coordinate of a strict violation among the
-representatives. The strict search runs over every block and marks
-the orbits of the x rows and of the y columns that have a hit, which
-holds every such coordinate. The weak search runs over the members of
-the marked orbits that are their own least associate, and stops at its
-first block with a hit. It is skipped when there is no strict
-violation, and for P = 0, where 0 != x*y*z in P cannot hold.
+associates, so the least weak violation is made of class reps. A weak
+violation is a strict one, so each of its orbits holds a coordinate of
+a strict violation among the representatives. The strict search runs
+over every block and marks the orbits of the x rows and of the y
+columns that have a hit, which holds every such coordinate. The weak
+search runs over the class reps outside P whose orbit is marked, and
+stops at its first block with a hit. It is skipped when there is no
+strict violation, for P = 0, where 0 != x*y*z in P cannot hold, and
+when the strict witness has x*y*z != 0: it is then a weak violation
+too, and no weak violation, being a strict one, is smaller.
 
 The 1-absorbing table runs over the reps of the ring's nonunit_classes,
 the least nonunit of each associate class: a row per rep product
@@ -84,8 +85,10 @@ of nonunits is a violation exactly when its classes are, so the class
 cube of hits, gathered through ab, gives the 1-triple zeros: the reps
 of each class triple and the member triples it stands for; the checks
 that read them ask whether a product lies in an ideal, which no unit
-changes. Under damaged unit data the declared units are true units and
-the reps declared nonunits, so all of this, and the prime plane, holds.
+changes. Under damaged unit data the declared units are true units, so
+each class lies in a true associate class whose least member is a rep,
+and every rep is a declared nonunit: all of this, and the prime plane,
+holds.
 """
 
 from __future__ import annotations
@@ -221,22 +224,25 @@ def _scan_prime(ring: FiniteRing, mask: np.ndarray):
 
 
 def _scan_two_absorbing(ring: FiniteRing, mask: np.ndarray):
-    assoc = ring.associates
-    orbit = np.full(ring.size, ring.size)
-    np.minimum.at(orbit, assoc, coset_least(ring, np.flatnonzero(mask)))
-    orbit = orbit[assoc]               # least member of the cosets u*x + P
-    c = ring.nonunits[~mask[ring.nonunits]]
-    reps = c[orbit[c] == c]
+    cl, nu = ring.nonunit_classes, ring.nonunits
+    orbit = np.full(len(cl.reps), ring.size)    # least member of the cosets u*x + P
+    np.minimum.at(orbit, cl.of, coset_least(ring, np.flatnonzero(mask))[nu])
+    out = ~mask[nu]
+    c = nu[out]
+    least = c[orbit[cl.of[out]] == c]
     strict, seen = None, np.zeros(ring.size, dtype=bool)
-    for xs, ys, hit in _two_absorbing_blocks(ring, mask, reps, False):
+    for xs, ys, hit in _two_absorbing_blocks(ring, mask, least, False):
         pairs = hit.any(axis=0)
         if strict is None:
-            strict = _least_triple(reps, xs, ys, hit, pairs)
+            strict = _least_triple(least, xs, ys, hit, pairs)
         seen[xs[pairs.any(axis=1)]] = True
         seen[ys[pairs.any(axis=0)]] = True
     if strict is None or np.count_nonzero(mask) == 1:      # no hit, or P = 0
         return strict, None
-    weak_c = c[seen[orbit[c]] & (assoc[c] == c)]
+    x, y, z = strict
+    if ring.mul[ring.mul[x, y], z] != ring.zero:            # already a weak one
+        return strict, strict
+    weak_c = cl.reps[~mask[cl.reps] & seen[orbit]]
     for xs, ys, hit in _two_absorbing_blocks(ring, mask, weak_c, True):
         weak = _least_triple(weak_c, xs, ys, hit, hit.any(axis=0))
         if weak is not None:
@@ -369,17 +375,17 @@ def find_one_triple_zeros(p: Ideal) -> list[tuple[int, int, int]]:
     if not is_weakly_one_absorbing_prime(p).holds:
         raise NotW1AP(f"{p!r} is not weakly 1-absorbing prime")
     ring = p.ring
-    nu, assoc = ring.nonunits, ring.associates
-    key = assoc[nu]                         # x's class, by its least associate
-    ka, kb, kc = (assoc[v] for v in _triple_zero_classes(ring, p.mask)[:3])
-    tails = {}
-    for kx in np.unique(key).tolist():      # the (y, z) of x's class, in lex order
-        hit = np.zeros((ring.size, ring.size), dtype=bool)
+    cl, nu = ring.nonunit_classes, ring.nonunits
+    ka, kb, kc = (np.searchsorted(cl.reps, v)
+                  for v in _triple_zero_classes(ring, p.mask)[:3])
+    tails = []
+    for kx in range(len(cl.reps)):          # the (y, z) of x's class, in lex order
+        hit = np.zeros((len(cl.reps), len(cl.reps)), dtype=bool)
         hit[kb[ka == kx], kc[ka == kx]] = True
-        y, z = np.nonzero(hit[np.ix_(key, key)])
-        tails[kx] = nu[y].tolist(), nu[z].tolist()
+        y, z = np.nonzero(hit[np.ix_(cl.of, cl.of)])
+        tails.append((nu[y].tolist(), nu[z].tolist()))
     return list(chain.from_iterable(        # zip builds the tuples, not a loop
-        zip(repeat(x), *tails[kx]) for x, kx in zip(nu.tolist(), key.tolist())))
+        zip(repeat(x), *tails[kx]) for x, kx in zip(nu.tolist(), cl.of.tolist())))
 
 
 # ---------------------------------------------------------------------------

@@ -22,9 +22,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import LatticeCapExceeded, RingMismatch
-from .rings import FiniteRing, Homomorphism, _as_int32
-
-LATTICE_CAP = 100000
+from .rings import FiniteRing, Homomorphism, _as_int32, element_cap
 
 
 class Ideal:
@@ -267,7 +265,7 @@ def _primitive_idempotents(ring: FiniteRing) -> np.ndarray:
     return idem[below.sum(axis=1) == 1]
 
 
-def _principal_closure(ring: FiniteRing, seeds: np.ndarray,
+def _principal_closure(ring: FiniteRing, seeds: np.ndarray, cap: int,
                        ) -> list[tuple[np.ndarray, tuple[int, ...]]]:
     """(mask, generators) of every ideal that is a sum of principal
     ideals (a), a in the ascending seeds.
@@ -278,16 +276,13 @@ def _principal_closure(ring: FiniteRing, seeds: np.ndarray,
     finds every such sum; a sum of ideals is an ideal, so none is
     checked again. Each step is a _span_plus step whose span rows of add
     are gathered once for all the (a) added to it: a fifth less lattice
-    time on the classify pool. LATTICE_CAP is checked on the principal
-    ideals and again as each ideal that is not principal is found.
+    time on the classify pool. The cap is checked as each sum is found.
     """
     principal = np.zeros((len(seeds), ring.size), dtype=bool)
     principal[np.arange(len(seeds))[:, None], ring.mul[seeds]] = True
     found: dict[bytes, tuple[np.ndarray, tuple[int, ...]]] = {}
     for a, row in zip(seeds, principal):
         found.setdefault(row.tobytes(), (row, (int(a),)))
-    if len(found) > LATTICE_CAP:
-        raise LatticeCapExceeded(f"more than {LATTICE_CAP} ideals in {ring.text}")
     pmasks = np.stack([m for m, _ in found.values()])
     parrs = [np.flatnonzero(m) for m in pmasks]
     pgens = [g for _, (g,) in found.values()]
@@ -300,9 +295,8 @@ def _principal_closure(ring: FiniteRing, seeds: np.ndarray,
             s[rows[:, parrs[b]]] = True
             key = s.tobytes()
             if key not in found:
-                if len(found) >= LATTICE_CAP:
-                    raise LatticeCapExceeded(
-                        f"more than {LATTICE_CAP} ideals in {ring.text}")
+                if len(found) >= cap:
+                    raise LatticeCapExceeded(f"more than {cap} ideals in {ring.text}")
                 found[key] = (s, gens + (pgens[b],))
                 worklist.append(found[key])
     return list(found.values())
@@ -318,12 +312,17 @@ def all_ideals(ring: FiniteRing) -> IdealLattice:
     the local lattices: `_principal_closure` enumerates the ideals
     inside A*e from the principal ideals (a), a in A*e, and each choice
     of one local ideal per e gives the member whose mask is the AND over
-    e of local_mask_e[a*e]; a local ring has the one factor e = 1. The
-    lattice size is the product of the local sizes, so LATTICE_CAP is
-    checked before any member mask is built. Each closure is seeded
-    with the least associates in A*e only, as (a) = (u*a) for a unit u:
-    the least generator of (a) is its own least associate, and the
-    closure records the least seed of each (a), as over every a.
+    e of local_mask_e[a*e]; a local ring has the one factor e = 1. Each
+    closure is seeded with the class reps of nonunit_classes in A*e, and
+    1 when e = 1, as (a) = (u*a) for a unit u and every unit gives (1):
+    the closure records the least generator of each proper (a), the
+    least member of its class, as a seeding by every a would.
+
+    A lattice holds at most max(|A|, element_cap()) members, so its k x k
+    tables are no larger than the n x n tables the element cap admits. A
+    ring has at most |A| principal ideals, so the cap is checked only as
+    a closure finds a sum, and on the product of the local sizes before
+    any member mask is built.
 
     A member's generators are the local generator tuples summed
     position by position (a missing position reads as 0): with g_i the
@@ -337,13 +336,16 @@ def all_ideals(ring: FiniteRing) -> IdealLattice:
     """
     if ring._lattice is not None:
         return ring._lattice
-    n = ring.size
+    n, reps = ring.size, ring.nonunit_classes.reps
+    cap = max(n, element_cap())
     parts = []
     for e in _primitive_idempotents(ring):
-        seeds = np.unique(ring.associates[ring.mul[:, e]])
-        parts.append((e, _principal_closure(ring, seeds)))
-    if math.prod(len(local) for _, local in parts) > LATTICE_CAP:
-        raise LatticeCapExceeded(f"more than {LATTICE_CAP} ideals in {ring.text}")
+        seeds = reps[ring.mul[reps, e] == reps]         # a*e = a: a in A*e
+        if e == ring.one:
+            seeds = np.union1d(seeds, [ring.one])
+        parts.append((e, _principal_closure(ring, seeds, cap)))
+    if math.prod(len(local) for _, local in parts) > cap:
+        raise LatticeCapExceeded(f"more than {cap} ideals in {ring.text}")
     masks = np.ones((1, n), dtype=bool)
     spanning: list[tuple[int, ...]] = [()]
     for e, local in parts:

@@ -81,11 +81,11 @@ class _Proven:
     live ring built with those tables: the additive generators the tables
     were proved on, which every Homomorphism from those rings is proved
     on too, unit_mask, nonunits (the ascending int32 indices unit_mask
-    leaves out), the scan memo, and nonunit_classes and associates, None
-    until a ring asks. Every array is made read-only here."""
+    leaves out), the scan memo, and nonunit_classes, None until a ring
+    asks. Every array is made read-only here."""
 
     __slots__ = ("add", "mul", "generators", "unit_mask", "nonunits", "scans",
-                 "nonunit_classes", "associates", "__weakref__")
+                 "nonunit_classes", "__weakref__")
 
     def __init__(self, add: np.ndarray, mul: np.ndarray, generators: np.ndarray,
                  unit_mask: np.ndarray):
@@ -95,7 +95,7 @@ class _Proven:
         for a in (add, mul, generators, unit_mask, self.nonunits):
             a.setflags(write=False)
         self.scans: dict[tuple[int, ...], dict[str, tuple | None]] = {}
-        self.nonunit_classes = self.associates = None
+        self.nonunit_classes = None
 
 
 def element_cap() -> int:
@@ -132,12 +132,11 @@ class FiniteRing:
         nonunit_classes (record property, computed on first use): a
             NonunitClasses of the nonunits' associate classes: reps, the
             least nonunit of each, ascending; sizes, the nonunits in
-            each; ab = mul on reps x reps; ws, the distinct values of ab
-            in first-occurrence order; first[k], the row-major index in
-            ab of the first rep pair giving ws[k], so first ascends.
-        associates (record property, computed on first use):
-            associates[x] is the least u*x over the units u, n read-only
-            int32 values.
+            each; of[i], the class of nonunits[i], so reps[of[i]] is its
+            least associate; ab = mul on reps x reps; ws, the distinct
+            values of ab in first-occurrence order; first[k], the
+            row-major index in ab of the first rep pair giving ws[k], so
+            first ascends.
         _scans (record property): witnesses per verdict key, keyed by
             ideal elements.
         provenance: the construction expression.
@@ -197,15 +196,6 @@ class FiniteRing:
         return proven.nonunit_classes
 
     @property
-    def associates(self) -> np.ndarray:
-        """associates[x] is the least u*x over the units u: the least
-        member of x's associate class."""
-        proven = self._proven
-        if proven.associates is None:
-            proven.associates = _associates(self)
-        return proven.associates
-
-    @property
     def text(self) -> str:
         return ex.print_expr(self.provenance)
 
@@ -223,32 +213,29 @@ class NonunitClasses(NamedTuple):
     """FiniteRing.nonunit_classes."""
     reps: np.ndarray
     sizes: np.ndarray
+    of: np.ndarray
     ab: np.ndarray
     ws: np.ndarray
     first: np.ndarray
 
 
 def _nonunit_classes(r: FiniteRing) -> NonunitClasses:
+    rows = r.unit_mask.copy()
+    rows[r.one] = True      # so a ring whose unit data lost every unit still reduces
+    key = r.mul[np.ix_(rows, r.nonunits)].min(axis=0)      # the least u*x
     # nonunits ascend, so the first index of each class is its least member
-    _, at, sizes = np.unique(r.associates[r.nonunits], return_index=True,
-                             return_counts=True)
+    _, at, of, sizes = np.unique(key, return_index=True, return_inverse=True,
+                                 return_counts=True)
     by_rep = np.argsort(at)
     reps = r.nonunits[at[by_rep]]
     ab = r.mul[np.ix_(reps, reps)]
     ws, first = np.unique(ab, return_index=True)    # first occurrences
     order = np.argsort(first)
-    out = NonunitClasses(reps, sizes[by_rep], ab, ws[order], first[order])
+    out = NonunitClasses(reps, sizes[by_rep], np.argsort(by_rep)[of], ab,
+                         ws[order], first[order])
     for a in out:
         a.setflags(write=False)
     return out
-
-
-def _associates(r: FiniteRing) -> np.ndarray:
-    rows = r.unit_mask.copy()
-    rows[r.one] = True      # so a ring whose unit data lost every unit still reduces
-    least = r.mul[rows].min(axis=0)
-    least.setflags(write=False)
-    return least
 
 
 def additive_generators(add: np.ndarray, zero: int) -> list[int]:

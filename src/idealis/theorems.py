@@ -299,10 +299,12 @@ def check_nonlocal_equivalence(rings: list[FiniteRing]) -> Instances:
     for r in rings:
         if is_quasi_local(r):
             continue
-        max_masks = [m.mask for m in maximal_ideals(r)]
+        # ann[x] is the mask of (0 : x); marked, the x it makes maximal
+        ann = r.mul == r.zero
+        maxes = np.stack([m.mask for m in maximal_ideals(r)])
+        marked = (ann[:, None] == maxes).all(axis=2).any(axis=1)
         for p in all_ideals(r).proper:
-            if any(np.array_equal(r.mul[x] == r.zero, mm)
-                   for x in p.elements for mm in max_masks):
+            if marked[p.arr].any():
                 yield VACUOUS
                 continue
             yield r, p, (None if is_weakly_prime(p).holds == _w1ap(p)

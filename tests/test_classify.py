@@ -277,9 +277,10 @@ def test_nonunit_classes_match_pair_loop():
     # the nonunits grouped by their least u*x over the units u (and 1):
     # the least member of each class, ascending, and the class sizes;
     # then the distinct products of rep pairs in first-occurrence order,
-    # each with the row-major index of the first rep pair giving it. The
-    # damaged rings, whose largest unit is declared a nonunit, have a
-    # class whose least key is a unit and whose least nonunit is not.
+    # each with the row-major index of the first rep pair giving it; and
+    # the class of every nonunit, by the index of its rep. The damaged
+    # rings, whose largest unit is declared a nonunit, have a class whose
+    # least key is a unit and whose least nonunit is not.
     for ring in _index_rings() + fault_rings()[:len(FAULT_TEXTS)]:
         units = set(np.flatnonzero(ring.unit_mask).tolist()) | {ring.one}
         classes = {}
@@ -288,6 +289,7 @@ def test_nonunit_classes_match_pair_loop():
             classes.setdefault(key, []).append(x)
         reps = sorted(min(members) for members in classes.values())
         sizes = {min(members): len(members) for members in classes.values()}
+        rep_of = {x: min(members) for members in classes.values() for x in members}
         first = {}
         for i, a in enumerate(reps):
             for j, b in enumerate(reps):
@@ -295,19 +297,9 @@ def test_nonunit_classes_match_pair_loop():
         cl = ring.nonunit_classes
         assert cl.reps.tolist() == reps, ring.text
         assert cl.sizes.tolist() == [sizes[a] for a in reps], ring.text
+        assert [reps[k] for k in cl.of] == [rep_of[x] for x in ring.nonunits.tolist()], \
+            ring.text
         assert cl.ab.tolist() == [[int(ring.mul[a, b]) for b in reps] for a in reps]
         assert cl.ws.tolist() == list(first), ring.text
         assert cl.first.tolist() == list(first.values()), ring.text
         assert not any(a.flags.writeable for a in cl)
-
-
-def test_associates_match_unit_loop():
-    # associates[x] is the least u*x over the units u
-    for ring in _index_rings():
-        units = np.flatnonzero(ring.unit_mask).tolist()
-        want = [min(int(ring.mul[u, x]) for u in units) for x in range(ring.size)]
-        assert ring.associates.dtype == np.int32
-        assert ring.associates.tolist() == want, ring.text
-        assert not ring.associates.flags.writeable
-        with pytest.raises(ValueError):
-            ring.associates[0] = 0

@@ -8,11 +8,19 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from idealis import ParseError, TheoremCheck, __version__
+from idealis import (
+    Ideal,
+    ParseError,
+    TheoremCheck,
+    __version__,
+    make_idealization,
+    make_local_algebra,
+)
 from idealis.cli import main, parse_property, eval_property
 
 
@@ -110,6 +118,25 @@ def test_cap_exits_3(capsys):
     rc, _, err = run(capsys, "classify", "Z40", "--cap", "30")
     assert rc == 3
     assert "cap" in err
+
+
+def test_lattice_cap_exits_3_quickly():
+    # LocalAlg(2) idealized five times by its maximal ideal: 256 elements
+    # and 29213 ideals, above the 1024 a lattice may hold at the default
+    # caps; --cap raises the element cap, not this bound
+    ring = make_local_algebra(2)
+    for _ in range(5):
+        ring = make_idealization(ring, Ideal(ring, ring.nonunits))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {k: v for k, v in os.environ.items() if k != "IDEALIS_CAP"}
+    start = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "idealis.cli", "classify", ring.text],
+        capture_output=True, text=True, timeout=120, env={**env, "PYTHONPATH": path})
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert "more than 1024 ideals" in proc.stderr
+    assert time.monotonic() - start < 5
 
 
 def test_cap_env_and_flag_precedence(capsys, monkeypatch):

@@ -5,8 +5,6 @@ exactly the (d) for divisors d of n, so lattice size equals the divisor
 count and containment mirrors divisibility.
 """
 
-import importlib
-
 import pytest
 
 from idealis import (
@@ -26,6 +24,7 @@ from idealis import (
     is_quasi_local,
     is_reduced,
     jacobson_radical,
+    make_idealization,
     make_local_algebra,
     make_product,
     make_quotient,
@@ -36,9 +35,6 @@ from idealis import (
     unit_ideal,
     zero_ideal,
 )
-
-
-ideals = importlib.import_module("idealis.ideals")
 
 
 def _divisors(n):
@@ -183,34 +179,42 @@ def test_image_and_preimage_through_projection():
     assert preimage_ideal(proj, zero_ideal(quo)).elements == q4.elements
 
 
+def _idealized_by_maximal(times: int):
+    """LocalAlg(2) idealized `times` times by its maximal ideal, the
+    nonunits of a local ring: 8 * 2**times elements. The maximal ideal
+    squares to zero each time, so the ideals outnumber the elements."""
+    r = make_local_algebra(2)
+    for _ in range(times):
+        r = make_idealization(r, Ideal(r, r.nonunits))
+    return r
+
+
 def test_lattice_cap(monkeypatch):
-    monkeypatch.setattr(ideals, "LATTICE_CAP", 5)
-    with pytest.raises(LatticeCapExceeded):
-        all_ideals(make_local_algebra(2))
-
-
-def test_lattice_cap_with_only_principal_ideals(monkeypatch):
-    # every ideal of Z720 (30) and of Z2^6 (64) is principal, so the cap
-    # must hold before the closure finds anything new
-    boolean = make_zn(2)
-    for _ in range(5):
-        boolean = make_product(boolean, make_zn(2))
-    monkeypatch.setattr(ideals, "LATTICE_CAP", 5)
-    for ring in (make_zn(720), boolean):
-        with pytest.raises(LatticeCapExceeded):
+    # a lattice holds at most max(|A|, element_cap()) members: 17 ideals
+    # of 16 elements, and 68 of 32
+    for times, size, count in ((1, 16, 17), (2, 32, 68)):
+        monkeypatch.setenv("IDEALIS_CAP", str(count - 1))
+        ring = _idealized_by_maximal(times)
+        assert ring.size == size
+        with pytest.raises(LatticeCapExceeded, match=f"more than {count - 1} ideals"):
             all_ideals(ring)
+        monkeypatch.setenv("IDEALIS_CAP", str(count))
+        assert len(all_ideals(ring)) == count
 
 
 def test_lattice_cap_on_the_product_of_local_lattices(monkeypatch):
-    # Z2^8 is the product of 8 local lattices of 2 ideals each
-    boolean = make_zn(2)
-    for _ in range(7):
-        boolean = make_product(boolean, make_zn(2))
-    monkeypatch.setattr(ideals, "LATTICE_CAP", 255)
-    with pytest.raises(LatticeCapExceeded):
-        all_ideals(boolean)
-    monkeypatch.setattr(ideals, "LATTICE_CAP", 256)
-    assert len(all_ideals(boolean)) == 256
+    # the square of the 16-element ring has 256 elements, and its
+    # lattice is the product of two local lattices of 17 ideals each
+    monkeypatch.setenv("IDEALIS_CAP", "288")
+    local = _idealized_by_maximal(1)
+    ring = make_product(local, local)
+    with pytest.raises(LatticeCapExceeded, match="more than 288 ideals"):
+        all_ideals(ring)
+    monkeypatch.setenv("IDEALIS_CAP", "16")
+    with pytest.raises(LatticeCapExceeded, match="more than 256 ideals"):
+        all_ideals(ring)                # the ring's own size bounds it too
+    monkeypatch.setenv("IDEALIS_CAP", "289")
+    assert len(all_ideals(ring)) == 289
 
 
 def test_lattice_cached_on_ring():

@@ -258,15 +258,14 @@ def test_twins_share_the_proof_not_the_first_ring(monkeypatch):
                                   np.zeros(6, dtype=bool))
     twin = make_zn(6)
     assert twin._proven is proven and twin.unit_mask is proven.unit_mask
-    shared = twin.nonunit_classes, twin.associates
+    shared = twin.nonunit_classes
     own = first.nonunit_classes
     assert own.reps.tolist() == list(range(6)) and own.sizes.tolist() == [1] * 6
+    assert own.of.tolist() == list(range(6)) and not own.of.flags.writeable
     assert np.array_equal(own.ab, first.mul)
-    assert first.associates.tolist() == list(range(6))
-    assert first.associates.dtype == np.int32 and not first.associates.flags.writeable
-    assert make_zn(6).nonunit_classes is shared[0]
-    assert make_zn(6).associates is shared[1]
-    assert shared[0].reps.tolist() == [0, 2, 3] and shared[0].sizes.tolist() == [1, 2, 1]
+    assert make_zn(6).nonunit_classes is shared
+    assert shared.reps.tolist() == [0, 2, 3] and shared.sizes.tolist() == [1, 2, 1]
+    assert shared.of.tolist() == [0, 1, 2, 1]         # nonunits 0, 2, 3, 4
     del first, proven
     gc.collect()
     verified = _counting_proofs(monkeypatch)
@@ -287,23 +286,21 @@ def test_a_ring_holds_only_its_own_data_and_its_record():
             assert set(vars(r)) == own, r.text
 
 
-def test_twins_derive_nonunit_classes_and_associates_once(monkeypatch):
+def test_twins_derive_nonunit_classes_once(monkeypatch):
     """Over a pass of every check on the default corpus, each distinct
-    table pair gets one computation of each, however many twins ask.
-    Every ring that computed one is kept alive, so its record is too."""
-    computed = {}
-    alive = []
-    for name in ("_nonunit_classes", "_associates"):
-        keys = computed[name] = []
+    table pair gets one computation of its class record, however many
+    twins ask. Every ring that computed one is kept alive, so its record
+    is too."""
+    keys, alive = [], []
+    compute = rings._nonunit_classes
 
-        def counted(r, compute=getattr(rings, name), keys=keys):
-            keys.append((r.zero, r.one, r.add.tobytes(), r.mul.tobytes()))
-            alive.append(r)
-            return compute(r)
-        monkeypatch.setattr(rings, name, counted)
+    def counted(r):
+        keys.append((r.zero, r.one, r.add.tobytes(), r.mul.tobytes()))
+        alive.append(r)
+        return compute(r)
+    monkeypatch.setattr(rings, "_nonunit_classes", counted)
     run_checks(build_corpus())
-    for name, keys in computed.items():
-        assert len(keys) == len(set(keys)) > 200, (name, len(keys), len(set(keys)))
+    assert len(keys) == len(set(keys)) > 200, (len(keys), len(set(keys)))
 
 
 def _rejections(add, mul) -> list[str]:
