@@ -423,9 +423,10 @@ def tmm_characterize(p: Ideal) -> dict[str, bool]:
     and (vi) sees I and J only through IJ. So (iv) runs over the (x)(y)
     outside P, (v) over the (x)I and (vi) over the IJ. (x) is the first
     member that holds x: members are sorted by size, and (x) lies in
-    every ideal that holds x. The sets index the whole product table:
-    under damaged unit data a declared nonunit can be a unit, with (x)
-    the whole ring.
+    every ideal that holds x. The (x) and the sets of (v) and (vi) do
+    not depend on P, so the lattice keeps them. The sets index the whole
+    product table: under damaged unit data a declared nonunit can be a
+    unit, with (x) the whole ring.
     """
     _require_proper(p)
     ring, mask = p.ring, p.mask
@@ -440,12 +441,10 @@ def tmm_characterize(p: Ideal) -> dict[str, bool]:
                        | (col == ann).all(axis=1)).all())
 
     lat = all_ideals(ring)
-    kp = len(lat) - 1                        # proper ideals are the prefix
-    pt = lat.product_table
+    pt, px = lat.product_table, lat.rep_principals
     le_p = lat.le[:, lat.index(p)]
-    px = lat.masks[:, cl.reps].argmax(axis=0)       # (x) of every rep x
     xy = pt[np.ix_(px, px)][~mask[cl.ab]]           # (x)(y) = (xy), xy outside P
     out["iv"] = _lattice_condition(pt, le_p, np.unique(xy))
-    out["v"] = _lattice_condition(pt, le_p, np.unique(pt[px, :kp]))
-    out["vi"] = _lattice_condition(pt, le_p, np.unique(pt[:kp, :kp]))
+    out["v"] = _lattice_condition(pt, le_p, lat.rep_multiples)
+    out["vi"] = _lattice_condition(pt, le_p, lat.proper_products)
     return out

@@ -1,11 +1,11 @@
 """Ideals and ideal lattices of finite commutative rings.
 
-An Ideal stores its full sorted element tuple; two ideals are equal
-exactly when they live in the same ring and have the same element set
-(generators are presentation only). `Ideal(ring, elements)` validates
-closure under both operations; every other construction, `ideal_gen`
-and so `parse_ideal` among them, builds an ideal by the proof in its
-docstring.
+An Ideal stores a read-only boolean mask of its members and the sorted
+element tuple read from it; two ideals are equal exactly when they live
+in the same ring and have the same element set (generators are
+presentation only). `Ideal(ring, elements)` validates closure under
+both operations; every other construction, `ideal_gen` and so
+`parse_ideal` among them, builds an ideal by the proof in its docstring.
 
 Radicals are read off the lattice: every prime ideal of a finite ring
 is maximal, so radical(I) = the intersection of the maximal ideals
@@ -28,26 +28,37 @@ from .rings import FiniteRing, Homomorphism, _as_int32, element_cap
 class Ideal:
     """An ideal. `Ideal(ring, elements)` validates; `Ideal._trusted` does not.
 
-    `given_generators` holds the generators a construction proved to
-    generate the ideal, or None. `generators` is lazy: without given
-    generators it is `reduced_generators` of the elements, computed only
-    when something renders or reads it.
+    Attributes:
+        ring: the FiniteRing the ideal lives in.
+        mask: read-only boolean array of shape (n,), True at the members.
+        elements: the members' ascending indices as a tuple, read from mask.
+        given_generators: generators a construction proved, or None.
+        generators (cached): given_generators or reduced_generators(ring, elements).
     """
 
     def __init__(self, ring: FiniteRing, elements: Sequence[int]):
-        self.ring = ring
-        self.elements = tuple(np.unique(_as_int32(list(elements), ring.size,
-                                                  "ideal elements")).tolist())
-        _check_ideal(ring, self.elements)
-        self.given_generators = None
+        mask = np.zeros(ring.size, dtype=bool)
+        mask[_as_int32(list(elements), ring.size, "ideal elements")] = True
+        arr = np.flatnonzero(mask)
+        if not mask[ring.zero]:
+            raise ValueError("an ideal contains at least 0")
+        if not mask[ring.add[np.ix_(arr, arr)]].all():
+            raise ValueError("set not closed under addition")
+        if not mask[ring.mul[:, arr]].all():
+            raise ValueError("set not closed under ring multiplication")
+        mask.setflags(write=False)
+        self.ring, self.mask, self.given_generators = ring, mask, None
+        self.elements = tuple(arr.tolist())
 
     @classmethod
-    def _trusted(cls, ring: FiniteRing, arr: np.ndarray,
+    def _trusted(cls, ring: FiniteRing, mask: np.ndarray,
                  generators: tuple[int, ...] | None = None) -> Ideal:
-        """Unchecked: arr is sorted and unique, and the caller proves it an ideal."""
+        """Unchecked: the caller proves the boolean mask of shape (n,) an
+        ideal's and hands it over, so it is made read-only, not copied."""
         ideal = cls.__new__(cls)
-        ideal.ring, ideal.elements = ring, tuple(arr.tolist())
-        ideal.given_generators = generators
+        mask.setflags(write=False)
+        ideal.ring, ideal.mask, ideal.given_generators = ring, mask, generators
+        ideal.elements = tuple(np.flatnonzero(mask).tolist())
         return ideal
 
     @cached_property
@@ -55,17 +66,6 @@ class Ideal:
         if self.given_generators is not None:
             return self.given_generators
         return reduced_generators(self.ring, self.elements)
-
-    @cached_property
-    def arr(self) -> np.ndarray:
-        return np.asarray(self.elements, dtype=np.intp)
-
-    @cached_property
-    def mask(self) -> np.ndarray:
-        m = np.zeros(self.ring.size, dtype=bool)
-        m[self.arr] = True
-        m.setflags(write=False)
-        return m
 
     @property
     def is_proper(self) -> bool:
@@ -93,20 +93,6 @@ class Ideal:
         return f"Ideal(({gens}) in {self.ring.text})"
 
 
-def _check_ideal(ring: FiniteRing, elements: tuple[int, ...]) -> None:
-    arr = np.asarray(elements, dtype=np.intp)
-    if len(arr) == 0:
-        raise ValueError("an ideal contains at least 0")
-    mask = np.zeros(ring.size, dtype=bool)
-    mask[arr] = True
-    if not mask[ring.zero]:
-        raise ValueError("ideal must contain 0")
-    if not mask[ring.add[np.ix_(arr, arr)]].all():
-        raise ValueError("set not closed under addition")
-    if not mask[ring.mul[:, arr]].all():
-        raise ValueError("set not closed under ring multiplication")
-
-
 def _span_plus(ring: FiniteRing, span: np.ndarray, members: np.ndarray) -> np.ndarray:
     """The mask of span + M = {a + m : a in span, m in M}, span a mask
     and M its members' indices, repeats allowed, or its mask, which
@@ -128,7 +114,7 @@ def ideal_gen(ring: FiniteRing, gens: Iterable[int]) -> Ideal:
     span = np.arange(ring.size) == ring.zero     # {0}
     for g in gens:
         span = _span_plus(ring, span, ring.mul[:, g])
-    return Ideal._trusted(ring, np.flatnonzero(span), gens)
+    return Ideal._trusted(ring, span, gens)
 
 
 def reduced_generators(ring: FiniteRing, elements: Sequence[int]) -> tuple[int, ...]:
@@ -151,12 +137,12 @@ def reduced_generators(ring: FiniteRing, elements: Sequence[int]) -> tuple[int, 
 
 def zero_ideal(ring: FiniteRing) -> Ideal:
     """{0}: a + b = 0 and r*0 = 0 for a, b in it."""
-    return Ideal._trusted(ring, np.array([ring.zero]), (ring.zero,))
+    return Ideal._trusted(ring, np.arange(ring.size) == ring.zero, (ring.zero,))
 
 
 def unit_ideal(ring: FiniteRing) -> Ideal:
     """The whole ring, which is closed under both operations."""
-    return Ideal._trusted(ring, np.arange(ring.size), (ring.one,))
+    return Ideal._trusted(ring, np.ones(ring.size, dtype=bool), (ring.one,))
 
 
 # ---------------------------------------------------------------------------
@@ -167,18 +153,27 @@ class IdealLattice:
     """All ideals of a ring, sorted by (size, elements).
 
     The zero ideal is index 0 and the whole ring is the last index, so
-    proper ideals are exactly the prefix [:-1]. `spanning[i]` is a short
-    generating set of ideal i, recorded by the enumeration; it need not
-    be the presentation `ideals[i].generators`. Cached: masks, le, covers,
-    maximal_indices, product_table.
+    proper ideals are exactly the prefix [:-1].
+
+    Attributes:
+        ring: the FiniteRing whose ideals these are.
+        masks: read-only k x n boolean array, row i the mask of ideals[i].
+        ideals: the k members, each holding its row of masks as its mask.
+        spanning: read-only k x w int array, row i generators of ideal i
+            recorded by the enumeration, padded with 0, which every ideal
+            holds; it need not be the presentation ideals[i].generators.
+        index_of: each member's lattice index, keyed by its elements.
+        le, covers, maximal_indices, product_table (cached): see each.
+        rep_principals, rep_multiples, proper_products (cached): members
+            that tmm_characterize reads; see each.
     """
 
-    def __init__(self, ring: FiniteRing, ideals: list[Ideal],
-                 spanning: list[tuple[int, ...]]):
-        self.ring = ring
-        self.ideals = ideals
-        self.spanning = spanning
-        self.index_of = {i.elements: k for k, i in enumerate(ideals)}
+    def __init__(self, ring: FiniteRing, masks: np.ndarray, spanning: np.ndarray):
+        masks.setflags(write=False)
+        spanning.setflags(write=False)
+        self.ring, self.masks, self.spanning = ring, masks, spanning
+        self.ideals = [Ideal._trusted(ring, m) for m in masks]
+        self.index_of = {i.elements: k for k, i in enumerate(self.ideals)}
 
     def __len__(self) -> int:
         return len(self.ideals)
@@ -194,21 +189,17 @@ class IdealLattice:
         return self.ideals[:-1]
 
     @cached_property
-    def masks(self) -> np.ndarray:
-        """masks[i] is the membership mask of ideal i."""
-        return np.stack([i.mask for i in self.ideals])
-
-    @cached_property
     def le(self) -> np.ndarray:
         """Containment matrix: le[i, j] iff ideal i is a subset of ideal j,
-        that is, iff no element of ideal i lies outside ideal j."""
-        m = self.masks.astype(np.float32)
-        return m @ (1 - m).T == 0
+        that is, iff ideal j holds every generator in spanning[i], since
+        ideal j is an ideal. One boolean gather of k x w x k."""
+        return self.masks.T[self.spanning].all(axis=1)
 
     @cached_property
     def covers(self) -> list[tuple[int, int]]:
-        """Covering pairs (i, j): i < j with nothing strictly between,
-        in row-major order."""
+        """Covering pairs (i, j): i < j with nothing strictly between, in
+        row-major order. (s @ s)[i, j] counts the members between, at most
+        k <= max(n, element_cap()) < 2^24, so the float32 product is exact."""
         strict = self.le & ~np.eye(len(self.ideals), dtype=bool)
         s = strict.astype(np.float32)
         return [(int(i), int(j)) for i, j in np.argwhere(strict & (s @ s == 0))]
@@ -226,22 +217,34 @@ class IdealLattice:
         subset of I, comes no later than I in the size order. So the
         product is the first Q <= i with J inside (Q : I), found for
         every j >= i at once. (Q : I) is the intersection of (Q : g)
-        over the generators g in `spanning[i]`.
+        over the generators g in spanning[i]; it is an ideal, so it
+        holds J iff it holds every generator in spanning[j].
         """
-        k = len(self.ideals)
-        masks = self.masks
-        mul = self.ring.mul
-        members = masks.astype(np.float32)
-        out = np.zeros((k, k), dtype=np.int32)
-        for i, gens in enumerate(self.spanning):
-            quot = np.ones((i + 1, self.ring.size), dtype=bool)
+        masks, spanning, mul = self.masks, self.spanning, self.ring.mul
+        out = np.zeros((len(masks),) * 2, dtype=np.int32)
+        for i, gens in enumerate(spanning):
+            quot = np.ones_like(masks[:i + 1])
             for g in gens:
                 quot &= masks[:i + 1, mul[:, g]]
-            misses = members[i:] @ (~quot).astype(np.float32).T
-            first = (misses == 0).argmax(axis=1)
+            first = quot[:, spanning[i:]].all(axis=2).argmax(axis=0)
             out[i, i:] = first
             out[i:, i] = first
         return out
+
+    @cached_property
+    def rep_principals(self) -> np.ndarray:
+        """The index of (x) for each class rep x: the first member holding x."""
+        return self.masks[:, self.ring.nonunit_classes.reps].argmax(axis=0)
+
+    @cached_property
+    def rep_multiples(self) -> np.ndarray:
+        """The distinct indices of the (x)I, x a class rep, I proper."""
+        return np.unique(self.product_table[self.rep_principals, :-1])
+
+    @cached_property
+    def proper_products(self) -> np.ndarray:
+        """The distinct indices of the IJ, I and J proper."""
+        return np.unique(self.product_table[:-1, :-1])
 
     def index(self, ideal: Ideal) -> int:
         return self.index_of[ideal.elements]
@@ -328,7 +331,9 @@ def all_ideals(ring: FiniteRing) -> IdealLattice:
     position by position (a missing position reads as 0): with g_i the
     sum of the g_{e,i} in A*e, g_i*e = g_{e,i}, so the sums generate the
     member, and a member has one generator exactly when every part, and
-    so the member, is principal.
+    so the member, is principal. No local generator past the first is 0,
+    so a member is principal iff its padded `spanning` row is 0 past
+    the first column.
 
     Members are sorted by size, then by `(~mask).tobytes()`, a key of
     the element set alone, so the order, and every byte printed from
@@ -354,12 +359,11 @@ def all_ideals(ring: FiniteRing) -> IdealLattice:
         spanning = [tuple(int(ring.add[a, b]) for a, b in
                           zip_longest(g, h, fillvalue=ring.zero))
                     for g in spanning for _, h in local]
-    entries = list(zip(masks, spanning))
-    entries.sort(key=lambda e: (int(e[0].sum()), (~e[0]).tobytes()))
-    ideals = [Ideal._trusted(ring, np.flatnonzero(m)) for m, _ in entries]
-    lattice = IdealLattice(ring, ideals, [g for _, g in entries])
-    ring._lattice = lattice
-    return lattice
+    sizes, inverse = masks.sum(axis=1).tolist(), ~masks
+    order = sorted(range(len(masks)), key=lambda r: (sizes[r], inverse[r].tobytes()))
+    columns = list(zip_longest(*spanning, fillvalue=ring.zero))
+    ring._lattice = IdealLattice(ring, masks[order], np.array(columns).T[order])
+    return ring._lattice
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +379,7 @@ def _same_ring(i: Ideal, j: Ideal) -> FiniteRing:
 def ideal_sum(i: Ideal, j: Ideal) -> Ideal:
     """I + J, one _span_plus step."""
     ring = _same_ring(i, j)
-    return Ideal._trusted(ring, np.flatnonzero(_span_plus(ring, i.mask, j.arr)))
+    return Ideal._trusted(ring, _span_plus(ring, i.mask, j.mask))
 
 
 def ideal_product(i: Ideal, j: Ideal) -> Ideal:
@@ -388,27 +392,24 @@ def ideal_product(i: Ideal, j: Ideal) -> Ideal:
     ring = _same_ring(i, j)
     span = np.arange(ring.size) == ring.zero     # {0}
     for g in i.generators:
-        span = _span_plus(ring, span, ring.mul[g, j.arr])
-    return Ideal._trusted(ring, np.flatnonzero(span))
+        span = _span_plus(ring, span, ring.mul[g, j.mask])
+    return Ideal._trusted(ring, span)
 
 
 def ideal_intersect(i: Ideal, j: Ideal) -> Ideal:
     """I ∩ J: each of I and J is closed under both operations."""
-    ring = _same_ring(i, j)
-    return Ideal._trusted(ring, np.flatnonzero(i.mask & j.mask))
+    return Ideal._trusted(_same_ring(i, j), i.mask & j.mask)
 
 
 def colon(i: Ideal, x: int) -> Ideal:
     """(I : x) = {a : a*x in I}: (a + b)x = ax + bx and (ra)x = r(ax)."""
-    ring = i.ring
-    return Ideal._trusted(ring, np.flatnonzero(i.mask[ring.mul[:, x]]))
+    return Ideal._trusted(i.ring, i.mask[i.ring.mul[:, x]])
 
 
 def colon_ideal(i: Ideal, j: Ideal) -> Ideal:
     """(I : J) = {a : a*J in I}, the intersection of the (I : b) for b in J."""
     ring = _same_ring(i, j)
-    ok = i.mask[ring.mul[:, j.arr]].all(axis=1)
-    return Ideal._trusted(ring, np.flatnonzero(ok))
+    return Ideal._trusted(ring, i.mask[ring.mul[:, j.mask]].all(axis=1))
 
 
 def annihilator(ring: FiniteRing, x: int) -> Ideal:
@@ -461,7 +462,7 @@ def preimage_ideal(hom: Homomorphism, p: Ideal) -> Ideal:
     """f^-1(P): f(a + b) = f(a) + f(b) and f(ra) = f(r)f(a) stay in P."""
     if p.ring is not hom.target:
         raise RingMismatch("ideal does not live in the homomorphism target")
-    return Ideal._trusted(hom.source, np.flatnonzero(p.mask[hom.mapping]))
+    return Ideal._trusted(hom.source, p.mask[hom.mapping])
 
 
 def image_ideal(hom: Homomorphism, p: Ideal) -> Ideal:
@@ -470,4 +471,5 @@ def image_ideal(hom: Homomorphism, p: Ideal) -> Ideal:
         raise RingMismatch("ideal does not live in the homomorphism source")
     if not hom.is_surjective:
         raise ValueError("image of an ideal needs a surjective map")
-    return Ideal._trusted(hom.target, np.unique(hom.mapping[p.arr]))
+    hit = np.bincount(hom.mapping[p.mask], minlength=hom.target.size)
+    return Ideal._trusted(hom.target, hit > 0)

@@ -71,8 +71,8 @@ DEFAULT_ELEMENT_CAP = 1024
 _INT32_PRODUCTS = 46341         # largest n with (n-1)^2 < 2^31
 _BLOCK_ENTRIES = 1 << 14        # entries per block of table rows
 # the _Proven record of each live table pair, by (n, zero, one, crc32 of
-# add then mul); every ring built with the pair holds it, so an entry
-# lives as long as any of those rings does
+# add then mul); it lives while a ring built with the pair does, and a ring
+# whose lattice is built outlives its last reference until gc frees cycles
 _VERIFIED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
@@ -458,7 +458,7 @@ def make_product(r1: FiniteRing, r2: FiniteRing, cap: int | None = None) -> Fini
 
 def coset_least(r: FiniteRing, members: np.ndarray) -> np.ndarray:
     """The least element of x + members for every element x, where
-    members is an additive subgroup."""
+    members is an additive subgroup, given by its indices or its mask."""
     return r.add[:, members].min(axis=1)
 
 
@@ -490,7 +490,7 @@ def make_quotient(r: FiniteRing, q: "Ideal",
         raise RingMismatch("ideal belongs to a different ring")
     if len(q.elements) == r.size:
         raise ImproperIdeal("cannot quotient by the whole ring (zero ring)")
-    reps, proj = _cosets(r, q.arr)
+    reps, proj = _cosets(r, q.mask)
     lits = tuple(element_literal(r, g) for g in q.generators)
     ring, hom = _quotient_ring(r, reps, proj, ex.Quotient(r.provenance, lits), cap)
     if hom.kernel != q.elements:
@@ -556,7 +556,7 @@ def make_idealization(r: FiniteRing, j: "Ideal", cap: int | None = None) -> Fini
     """
     if j.ring is not r:
         raise RingMismatch("ideal belongs to a different ring")
-    mreps, to_m = _cosets(r, j.arr)                   # module coset rank
+    mreps, to_m = _cosets(r, j.mask)                  # module coset rank
     k = len(mreps)
     n = r.size * k
     _check_cap(n, cap)

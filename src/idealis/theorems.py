@@ -201,7 +201,7 @@ def check_hom_transfer(rings: list[FiniteRing]) -> Instances:
             for p in all_ideals(f.source).proper:
                 if not _w1ap(p):
                     continue
-                if not kernel_mask[p.arr].all():
+                if not kernel_mask[p.mask].all():
                     yield VACUOUS         # kernel not inside the ideal
                     continue
                 yield f.source, p, (None if _w1ap(image_ideal(f, p)) else
@@ -304,7 +304,7 @@ def check_nonlocal_equivalence(rings: list[FiniteRing]) -> Instances:
         maxes = np.stack([m.mask for m in maximal_ideals(r)])
         marked = (ann[:, None] == maxes).all(axis=2).any(axis=1)
         for p in all_ideals(r).proper:
-            if marked[p.arr].any():
+            if marked[p.mask].any():
                 yield VACUOUS
                 continue
             yield r, p, (None if is_weakly_prime(p).holds == _w1ap(p)
@@ -345,8 +345,7 @@ def check_triple_zero_annihilation(rings: list[FiniteRing]) -> Instances:
                 yield VACUOUS
                 continue
             triples_seen += int(count.sum())
-            parr = p.arr
-            if (mul[np.ix_(np.unique(mul[x, y]), parr)] != zero).any():
+            if (mul[np.ix_(np.unique(mul[x, y]), p.mask)] != zero).any():
                 yield r, p, "xyP != 0 for some 1-triple zero"
                 continue
             sel = ~p.mask[mul[x, z]] & ~p.mask[mul[y, z]]
@@ -356,8 +355,8 @@ def check_triple_zero_annihilation(rings: list[FiniteRing]) -> Instances:
                 p2 = pt[pi, pi]
                 xz_yz = np.unique(np.concatenate([mul[x, z], mul[y, z]]))
                 members = np.unique(np.concatenate([x, y, z]))
-                ok = not ((mul[np.ix_(xz_yz, parr)] != zero).any()
-                          or (mul[np.ix_(members, lat[p2].arr)] != zero).any()
+                ok = not ((mul[np.ix_(xz_yz, p.mask)] != zero).any()
+                          or (mul[np.ix_(members, lat[p2].mask)] != zero).any()
                           or pt[p2, pi] != 0)
             yield r, p, (None if ok else
                          "strong triple-zero consequences fail (xzP, yzP, "
@@ -405,7 +404,7 @@ def check_idealization_transfer(rings: list[FiniteRing]) -> Instances:
         k = r.module_size
         ann_m = j.mask                    # M = base/j is cyclic: Ann(M) = j
         for p in all_ideals(base).proper:
-            members = (p.arr[:, None] * k + np.arange(k)[None, :]).ravel()
+            members = (np.flatnonzero(p.mask)[:, None] * k + np.arange(k)).ravel()
             big = Ideal(r, members.tolist())
             lhs = _w1ap(big)
             rhs = _w1ap(p)
@@ -434,8 +433,8 @@ def check_product_prime_shape(rings: list[FiniteRing]) -> Instances:
         for p in all_ideals(r).proper:
             if p.is_zero:
                 continue
-            p1 = Ideal(left, np.unique(p.arr // s2).tolist())
-            p2 = Ideal(right, np.unique(p.arr % s2).tolist())
+            p1 = Ideal(left, np.flatnonzero(p.mask) // s2)
+            p2 = Ideal(right, np.flatnonzero(p.mask) % s2)
             if len(p) != len(p1) * len(p2):
                 raise AssertionError("product ideal is not a box; engine bug")
             shape = ((len(p2) == s2 and p1.is_proper and is_prime(p1).holds)
@@ -480,7 +479,7 @@ def check_jacobson_dichotomy(rings: list[FiniteRing]) -> Instances:
         jac2 = lat[lat.product_table[ji, ji]]
         ok = jac2.is_zero
         if not ok:
-            prods = r.mul[np.ix_(jac.arr, jac.arr)]
+            prods = r.mul[np.ix_(jac.mask, jac.mask)]
             nonzero = np.unique(prods[prods != r.zero])
             ok = all(
                 annihilator(r, int(w)).elements == jac.elements

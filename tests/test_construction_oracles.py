@@ -11,11 +11,14 @@ with its message.
 
 ideals.py builds the lattice members, the ideal arithmetic and the
 ideals transported along maps without checking them. Each must equal
-the validated Ideal of the set that defines it, so it passes
-_check_ideal: the lattice members and the images and preimages along
+the validated Ideal of the set that defines it, so it passes the
+checks of Ideal(...): the lattice members and the images and preimages along
 every quotient and localization map, on the same rings, and the ideal
-arithmetic and the ideal_gen of every member's spanning set on the
-corpus rings.
+arithmetic, the annihilators and the ideal_gen of every member's
+spanning set on the corpus rings. Each of them, and each validated
+Ideal, holds its members as a read-only boolean mask of shape (n,)
+whose True entries are its elements; a lattice member's mask shares
+memory with the lattice's read-only masks.
 
 A Homomorphism is proved on the rows of its source's additive
 generators. On every quotient and localization map of the same rings,
@@ -41,6 +44,8 @@ from idealis import (
     Homomorphism,
     Ideal,
     all_ideals,
+    annihilator,
+    annihilator_ideal,
     build_corpus,
     build_ring,
     colon,
@@ -196,10 +201,23 @@ def test_each_broken_pairwise_check_is_rejected_with_its_message(message):
     assert str(err.value) == message
 
 
+def _assert_mask_contract(p: Ideal) -> None:
+    """p's mask is a read-only boolean array of shape (n,) whose True
+    entries are p's elements."""
+    m = p.mask
+    assert m.dtype == bool and m.shape == (p.ring.size,), p
+    assert not m.flags.writeable, p
+    assert tuple(np.flatnonzero(m).tolist()) == p.elements, p
+
+
 def _assert_is_its_validated_twin(p: Ideal, elements) -> None:
     """p equals the Ideal that validates its defining set, so p holds the
-    same elements, which pass _check_ideal."""
-    assert p == Ideal(p.ring, [int(a) for a in elements]), p
+    same elements, which pass the checks of Ideal(...), and both keep the
+    mask contract."""
+    twin = Ideal(p.ring, [int(a) for a in elements])
+    assert p == twin, p
+    _assert_mask_contract(p)
+    _assert_mask_contract(twin)
 
 
 def _maps(ring) -> list[Homomorphism]:
@@ -215,8 +233,10 @@ def assert_maps_transport_ideals(ring) -> None:
     """Images under every quotient and localization map of the ring, and
     preimages of every ideal of their targets."""
     lat = all_ideals(ring)
+    assert not lat.masks.flags.writeable
     for p in lat:
         _assert_is_its_validated_twin(p, p.elements)
+        assert np.shares_memory(p.mask, lat.masks), p
     for f in _maps(ring):
         images = f.mapping.tolist()
         for p in lat:
@@ -233,14 +253,23 @@ def assert_arithmetic_builds_ideals(ring) -> None:
     """Sums, intersections and products of every pair of ideals (i <= j
     suffices, as they are symmetric), every (I : J), (I : x) for one
     generator x of each principal ideal: in a finite ring, (x) = (y)
-    makes y a unit multiple of x, and then (I : x) = (I : y); and the
-    ideal each member's spanning set generates, the additive closure of
-    the multiples of its generators."""
+    makes y a unit multiple of x, and then (I : x) = (I : y); the
+    annihilators of those x and of every ideal; and the ideal each
+    member's spanning set generates, the additive closure of the
+    multiples of its generators. A member is principal when its spanning
+    row is 0 past the first column."""
     lat = all_ideals(ring)
     _assert_is_its_validated_twin(zero_ideal(ring), [ring.zero])
     _assert_is_its_validated_twin(unit_ideal(ring), range(ring.size))
     add, mul = ring.add.tolist(), ring.mul.tolist()
-    principal = [gens[0] for gens in lat.spanning if len(gens) == 1]
+    principal = [int(g[0]) for g in lat.spanning if (g[1:] == ring.zero).all()]
+    for x in principal:
+        _assert_is_its_validated_twin(
+            annihilator(ring, x), [r for r in range(ring.size) if mul[r][x] == ring.zero])
+    for j in lat:
+        _assert_is_its_validated_twin(
+            annihilator_ideal(j), [r for r in range(ring.size)
+                                   if all(mul[r][y] == ring.zero for y in j.elements)])
     for a, i in enumerate(lat):
         members = set(i.elements)
         gens = lat.spanning[a]

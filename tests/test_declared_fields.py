@@ -5,7 +5,8 @@ the only instance-dict entries that may appear later are the values of
 the class's own cached_property descriptors. So classifying, checking
 and printing never attach anything to these objects. Every field of a
 built FiniteRing, the first of its tables or a twin, is named in the
-Attributes list of its docstring.
+Attributes list of its docstring, and so is every field of an
+IdealLattice and of an Ideal, with each cached_property computed.
 """
 
 import inspect
@@ -34,12 +35,15 @@ FAMILIES = (
 )
 
 
+def _cached_names(klass) -> set[str]:
+    return {name for base in klass.__mro__
+            for name, value in vars(base).items()
+            if isinstance(value, cached_property)}
+
+
 def _late_keys(obj, before: set[str]) -> set[str]:
-    cached = {name for klass in type(obj).__mro__
-              for name, value in vars(klass).items()
-              if isinstance(value, cached_property)}
     assert before <= set(vars(obj))
-    return set(vars(obj)) - before - cached
+    return set(vars(obj)) - before - _cached_names(type(obj))
 
 
 def _parts(ring):
@@ -93,3 +97,13 @@ def test_ring_fields_are_documented(text):
     documented = _documented_fields(FiniteRing)
     for r in _parts(ring) + [twin]:
         assert set(vars(r)) <= documented, (r.text, set(vars(r)) - documented)
+
+
+@pytest.mark.parametrize("text", FAMILIES)
+def test_lattice_and_ideal_fields_are_documented(text):
+    lat = all_ideals(build_ring_text(text))
+    for obj in [lat, *lat, ideal_gen(lat.ring, [lat.ring.one])]:
+        for name in _cached_names(type(obj)):
+            getattr(obj, name)
+        documented = _documented_fields(type(obj))
+        assert set(vars(obj)) <= documented, (obj, set(vars(obj)) - documented)

@@ -122,7 +122,7 @@ def _idealization_formula(base, j):
     """int64 tables of base (+) base/j, by (a, m)(b, m') = (ab, am' + bm)
     on coset representatives; the coset rank orders cosets by their
     least element."""
-    least = base.add[:, j.arr].min(axis=1)
+    least = base.add[:, j.mask].min(axis=1)
     reps, rank = np.unique(least, return_inverse=True)
     k = len(reps)
     a, m = np.divmod(np.arange(base.size * k, dtype=np.int64), k)

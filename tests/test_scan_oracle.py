@@ -211,7 +211,7 @@ def test_weak_two_absorbing_search_on_its_hard_cases():
             where = (ring.text, p.elements)
             if strict is not None and weak is None and not p.is_zero:
                 empty.append(where)
-            elif weak is not None and (coset_least(ring, p.arr)[list(weak)] != weak).any():
+            elif weak is not None and (coset_least(ring, p.mask)[list(weak)] != weak).any():
                 not_least.append((ring.text, strict, weak))
             else:
                 continue
@@ -236,7 +236,7 @@ def test_weak_two_absorbing_search_where_units_matter():
             strict, weak = plane_two_absorbing(p)
             if weak is None:
                 continue
-            least = coset_least(ring, p.arr)
+            least = coset_least(ring, p.mask)
             orbit = least[ring.mul[units]].min(axis=0)      # over every u*x
             w = list(weak)
             if (orbit[w] == w).all():
