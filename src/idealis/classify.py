@@ -82,17 +82,19 @@ the first rep pair giving w, a column per rep z outside P and a hit
 where w*z is in P. The least pair with a hit is then the first pair of
 the first hit row, so the first row-major hit is the witness. A triple
 of nonunits is a violation exactly when its classes are, so the class
-cube of hits, gathered through ab, gives the 1-triple zeros: the reps
-of each class triple and the member triples it stands for; the checks
-that read them ask whether a product lies in an ideal, which no unit
-changes. Under damaged unit data the declared units are true units, so
-each class lies in a true associate class whose least member is a rep,
-and every rep is a declared nonunit: all of this, and the prime plane,
-holds.
+cube of hits, cube[a, b, c] the hit of row ab[a, b] at column c, gives
+the 1-triple zeros, sizes[a]*sizes[b]*sizes[c] per class triple;
+_triple_zero_blocks yields it in blocks of x classes, none when the
+table has no hit. The checks that read it ask whether a product lies in
+an ideal, which no unit changes. Under damaged unit data the declared
+units are true units, so each class lies in a true associate class whose
+least member is a rep, and every rep is a declared nonunit: all of this,
+and the prime plane, holds.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import chain, repeat
 from typing import NamedTuple
@@ -200,17 +202,27 @@ def _one_absorbing_table(ring: FiniteRing, mask: np.ndarray):
     return cl, rows, cols, prods, mask[prods]
 
 
-def _triple_zero_classes(ring: FiniteRing, mask: np.ndarray):
-    """(x, y, z, count): the reps of each class triple that is a strict
-    1-absorbing violation of P, in lex order, and the number of member
-    triples each one stands for; read by gathering table rows through
-    the rep products ab."""
+def _triple_zero_rows(ring: FiniteRing, mask: np.ndarray) -> np.ndarray | None:
+    """Row w of the 1-absorbing table of P, by element w, over every class
+    z; the rows of no w are empty. None when the table has no hit."""
     cl, rows, cols, _, hits = _one_absorbing_table(ring, mask)
-    of_w = np.zeros((ring.size, len(cols)), dtype=bool)    # w's row, or none
-    of_w[cl.ws[rows]] = hits
-    a, b, c = np.nonzero(of_w[cl.ab])       # the class cube hit[a, b, c]
-    c = cols[c]
-    return cl.reps[a], cl.reps[b], cl.reps[c], cl.sizes[a] * cl.sizes[b] * cl.sizes[c]
+    if not hits.any():
+        return None
+    of_w = np.zeros((ring.size, len(cl.reps)), dtype=bool)
+    of_w[np.ix_(cl.ws[rows], cols)] = hits
+    return of_w
+
+
+def _triple_zero_blocks(ring: FiniteRing, mask: np.ndarray):
+    """(xs, cube) per block of x classes: xs the slice of the block's
+    classes and cube[i, b, c] set when the classes xs[i], b and c are a
+    class triple of 1-triple zeros. A block holds at most _BLOCK_ENTRIES
+    entries, or one class; there is none when the table has no hit."""
+    of_w = _triple_zero_rows(ring, mask)
+    ab = ring.nonunit_classes.ab
+    step = max(1, _BLOCK_ENTRIES // ab.size)
+    for s in range(0, 0 if of_w is None else len(ab), step):
+        yield slice(s, s + step), of_w[ab[s:s + step]]
 
 
 def _scan_prime(ring: FiniteRing, mask: np.ndarray):
@@ -365,27 +377,23 @@ def witness_violates(p: Ideal, key: str, witness: tuple) -> bool:
 # 1-triple zeros
 
 
-def find_one_triple_zeros(p: Ideal) -> list[tuple[int, int, int]]:
-    """Every 1-triple zero of P, lexicographically ordered.
+def find_one_triple_zeros(p: Ideal) -> Iterator[tuple[int, int, int]]:
+    """Every 1-triple zero of P, lazily, in lexicographic order.
 
-    Defined only for weakly 1-absorbing prime ideals; the triples are
-    exactly what separates P from being 1-absorbing prime.
+    Defined only for weakly 1-absorbing prime ideals, which the call
+    checks; the triples are what separates P from 1-absorbing prime.
     """
     _require_proper(p)
     if not is_weakly_one_absorbing_prime(p).holds:
         raise NotW1AP(f"{p!r} is not weakly 1-absorbing prime")
-    ring = p.ring
-    cl, nu = ring.nonunit_classes, ring.nonunits
-    ka, kb, kc = (np.searchsorted(cl.reps, v)
-                  for v in _triple_zero_classes(ring, p.mask)[:3])
-    tails = []
-    for kx in range(len(cl.reps)):          # the (y, z) of x's class, in lex order
-        hit = np.zeros((len(cl.reps), len(cl.reps)), dtype=bool)
-        hit[kb[ka == kx], kc[ka == kx]] = True
-        y, z = np.nonzero(hit[np.ix_(cl.of, cl.of)])
-        tails.append((nu[y].tolist(), nu[z].tolist()))
-    return list(chain.from_iterable(        # zip builds the tuples, not a loop
-        zip(repeat(x), *tails[kx]) for x, kx in zip(nu.tolist(), cl.of.tolist())))
+    of_w = _triple_zero_rows(p.ring, p.mask)
+    if of_w is None:
+        return iter(())
+    cl, nu = p.ring.nonunit_classes, p.ring.nonunits
+    # the (y, z) of each x: its class's slice of the cube, spread over members
+    tails = (np.nonzero(of_w[cl.ab[kx]][np.ix_(cl.of, cl.of)]) for kx in cl.of.tolist())
+    return chain.from_iterable(zip(repeat(x), nu[y].tolist(), nu[z].tolist())
+                               for x, (y, z) in zip(nu.tolist(), tails))
 
 
 # ---------------------------------------------------------------------------
@@ -420,13 +428,13 @@ def tmm_characterize(p: Ideal) -> dict[str, bool]:
     stand for x, y and w = x*y. (iv) to (vi) are one condition,
     _lattice_condition, over three sets of lattice members L, exactly:
     x*I = {x*i} is the ideal (x)I, (xy) = (x)(y) lies in P iff xy does,
-    and (vi) sees I and J only through IJ. So (iv) runs over the (x)(y)
-    outside P, (v) over the (x)I and (vi) over the IJ. (x) is the first
-    member that holds x: members are sorted by size, and (x) lies in
-    every ideal that holds x. The (x) and the sets of (v) and (vi) do
-    not depend on P, so the lattice keeps them. The sets index the whole
-    product table: under damaged unit data a declared nonunit can be a
-    unit, with (x) the whole ring.
+    and (vi) sees I and J only through IJ. So (iv) runs over the (w) for
+    the rep products w outside P, (v) over the (x)I and (vi) over the
+    IJ. (a) is the first member that holds a: members are sorted by
+    size, and (a) lies in every ideal that holds a. The (a) and the sets
+    of (v) and (vi) do not depend on P, so the lattice keeps them. The
+    sets index the whole product table: under damaged unit data a
+    declared nonunit can be a unit, with (x) the whole ring.
     """
     _require_proper(p)
     ring, mask = p.ring, p.mask
@@ -441,9 +449,8 @@ def tmm_characterize(p: Ideal) -> dict[str, bool]:
                        | (col == ann).all(axis=1)).all())
 
     lat = all_ideals(ring)
-    pt, px = lat.product_table, lat.rep_principals
-    le_p = lat.le[:, lat.index(p)]
-    xy = pt[np.ix_(px, px)][~mask[cl.ab]]           # (x)(y) = (xy), xy outside P
+    pt, le_p = lat.product_table, lat.le[:, lat.index(p)]
+    xy = lat.principal[cl.ws[~mask[cl.ws]]]         # (x)(y) = (xy), xy outside P
     out["iv"] = _lattice_condition(pt, le_p, np.unique(xy))
     out["v"] = _lattice_condition(pt, le_p, lat.rep_multiples)
     out["vi"] = _lattice_condition(pt, le_p, lat.proper_products)

@@ -4,8 +4,8 @@ Subcommands: classify (JSON report), lattice (JSON or DOT Hasse
 diagram), verify (theorem harness over a corpus), search (stream
 (ring, ideal) pairs matching a property expression).
 
-Exit codes: 0 success, 1 failed theorem check or witness recheck,
-2 syntax or domain error, 3 cap exceeded. JSON output is key-sorted and
+Exit codes: 0 success, 1 failed check or recheck, 2 syntax or domain
+error, 3 cap exceeded or out of memory. JSON output is key-sorted and
 byte-stable for a fixed input and tool version.
 """
 
@@ -396,8 +396,8 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except (CapExceeded, LatticeCapExceeded) as err:
-        print(f"error: {err}", file=sys.stderr)
+    except (CapExceeded, LatticeCapExceeded, MemoryError) as err:  # overload
+        print(f"error: {str(err) or 'out of memory'}", file=sys.stderr)
         return 3
     except (EngineError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)

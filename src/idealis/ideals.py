@@ -164,7 +164,7 @@ class IdealLattice:
             holds; it need not be the presentation ideals[i].generators.
         index_of: each member's lattice index, keyed by its elements.
         le, covers, maximal_indices, product_table (cached): see each.
-        rep_principals, rep_multiples, proper_products (cached): members
+        principal, rep_multiples, proper_products (cached): members
             that tmm_characterize reads; see each.
     """
 
@@ -232,14 +232,15 @@ class IdealLattice:
         return out
 
     @cached_property
-    def rep_principals(self) -> np.ndarray:
-        """The index of (x) for each class rep x: the first member holding x."""
-        return self.masks[:, self.ring.nonunit_classes.reps].argmax(axis=0)
+    def principal(self) -> np.ndarray:
+        """The index of (a) for every element a: the first member holding a."""
+        return self.masks.argmax(axis=0)
 
     @cached_property
     def rep_multiples(self) -> np.ndarray:
         """The distinct indices of the (x)I, x a class rep, I proper."""
-        return np.unique(self.product_table[self.rep_principals, :-1])
+        px = self.principal[self.ring.nonunit_classes.reps]
+        return np.unique(self.product_table[px, :-1])
 
     @cached_property
     def proper_products(self) -> np.ndarray:

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import expr as ex
 from .classify import (
-    _triple_zero_classes,
+    _triple_zero_blocks,
     is_one_absorbing_prime,
     is_prime,
     is_weakly_one_absorbing_prime,
@@ -39,7 +39,6 @@ from .dsl import build_ring, ideal_text
 from .ideals import (
     Ideal,
     all_ideals,
-    annihilator,
     annihilator_ideal,
     image_ideal,
     is_field,
@@ -329,38 +328,34 @@ def check_colon_characterization(rings: list[FiniteRing]) -> Instances:
 def check_triple_zero_annihilation(rings: list[FiniteRing]) -> Instances:
     """Every 1-triple zero (x, y, z) of a weakly 1-absorbing prime ideal
     satisfies xyP = 0; triples with x, y outside (P : z) additionally
-    force xzP = yzP = xP^2 = yP^2 = zP^2 = 0 and P^3 = 0. Weakly
-    1-absorbing prime ideals without a 1-triple zero are vacuous. Class
-    triples (see classify) stand for, and count, their member triples."""
+    force xzP = yzP = xP^2 = yP^2 = zP^2 = 0 and P^3 = 0. The ideals
+    with no 1-triple zero, the 1-absorbing prime ones, are vacuous.
+    Class triples (see classify) stand for, and count, their members."""
     triples_seen = 0
     for r in rings:
-        mul, zero = r.mul, r.zero
-        lat = all_ideals(r)
-        pt = lat.product_table
+        cl, lat = r.nonunit_classes, all_ideals(r)
+        pt, sizes = lat.product_table, cl.sizes
         for pi, p in enumerate(lat.proper):
             if not _w1ap(p):
                 continue
-            x, y, z, count = _triple_zero_classes(r, p.mask)
-            if len(x) == 0:
+            if is_one_absorbing_prime(p).holds:         # no 1-triple zero
                 yield VACUOUS
                 continue
-            triples_seen += int(count.sum())
-            if (mul[np.ix_(np.unique(mul[x, y]), p.mask)] != zero).any():
-                yield r, p, "xyP != 0 for some 1-triple zero"
-                continue
-            sel = ~p.mask[mul[x, z]] & ~p.mask[mul[y, z]]
-            ok = True
-            if sel.any():
-                x, y, z = x[sel], y[sel], z[sel]
-                p2 = pt[pi, pi]
-                xz_yz = np.unique(np.concatenate([mul[x, z], mul[y, z]]))
-                members = np.unique(np.concatenate([x, y, z]))
-                ok = not ((mul[np.ix_(xz_yz, p.mask)] != zero).any()
-                          or (mul[np.ix_(members, lat[p2].mask)] != zero).any()
-                          or pt[p2, pi] != 0)
-            yield r, p, (None if ok else
+            p2, in_p = pt[pi, pi], p.mask[cl.ab]
+            out_p = ~annihilator_ideal(p).mask[cl.ab]           # w*P != 0
+            out_p2 = ~annihilator_ideal(lat[p2]).mask[cl.reps]  # x*P^2 != 0
+            xy = qual = strong = False
+            for xs, cube in _triple_zero_blocks(r, p.mask):
+                triples_seen += int(sizes[xs] @ (cube @ sizes) @ sizes)
+                xy |= (cube & out_p[xs, :, None]).any()
+                q = cube & ~in_p[xs, None, :] & ~in_p[None]     # xz, yz outside P
+                qual |= q.any()
+                strong |= (q & (out_p[xs, None, :] | out_p[None])).any()
+                strong |= (q & (out_p2[xs, None, None] | out_p2[:, None] | out_p2)).any()
+            strong |= qual and pt[p2, pi] != 0                  # P^3 != 0
+            yield r, p, ("xyP != 0 for some 1-triple zero" if xy else
                          "strong triple-zero consequences fail (xzP, yzP, "
-                         "xP^2, yP^2, zP^2 or P^3 nonzero)")
+                         "xP^2, yP^2, zP^2 or P^3 nonzero)" if strong else None)
     return f"{triples_seen} triples across the tested ideals"
 
 
@@ -377,10 +372,11 @@ def check_reduced_triple_zero(rings: list[FiniteRing]) -> Instances:
         for p in all_ideals(r).proper:
             if not _w1ap(p):
                 continue
-            x, y, z, _ = _triple_zero_classes(r, p.mask)
-            if len(x) and not p.is_zero and not is_one_absorbing_prime(p).holds:
+            if not p.is_zero and not is_one_absorbing_prime(p).holds:
                 nonzero_cases += 1
-            if not (~p.mask[r.mul[x, z]] & ~p.mask[r.mul[y, z]]).any():
+            in_p = p.mask[r.nonunit_classes.ab]         # stop at a qualifying triple
+            if not any((cube & ~in_p[xs, None, :] & ~in_p[None]).any()
+                       for xs, cube in _triple_zero_blocks(r, p.mask)):
                 yield VACUOUS
                 continue
             yield r, p, (None if p.is_zero else
@@ -402,15 +398,13 @@ def check_idealization_transfer(rings: list[FiniteRing]) -> Instances:
         extensions += 1
         base, j = r.idealization
         k = r.module_size
-        ann_m = j.mask                    # M = base/j is cyclic: Ann(M) = j
+        out_m = ~j.mask[base.nonunit_classes.ab]    # M = base/j is cyclic: Ann(M) = j
         for p in all_ideals(base).proper:
             members = (np.flatnonzero(p.mask)[:, None] * k + np.arange(k)).ravel()
-            big = Ideal(r, members.tolist())
-            lhs = _w1ap(big)
-            rhs = _w1ap(p)
-            if rhs:                       # xy, xz and yz in Ann(M), an ideal
-                x, y, z, _ = _triple_zero_classes(base, p.mask)
-                rhs = bool(ann_m[base.mul[np.r_[x, x, y], np.r_[y, z, z]]].all())
+            lhs = _w1ap(Ideal(r, members.tolist()))
+            rhs = _w1ap(p) and not any(       # some xy, xz or yz outside Ann(M)
+                (cube & (out_m[xs, :, None] | out_m[xs, None, :] | out_m[None])).any()
+                for xs, cube in _triple_zero_blocks(base, p.mask))
             yield base, p, (None if lhs == rhs else
                             f"extension scan in {r.text} gives {lhs}, "
                             f"base criterion gives {rhs}")
@@ -481,10 +475,8 @@ def check_jacobson_dichotomy(rings: list[FiniteRing]) -> Instances:
         if not ok:
             prods = r.mul[np.ix_(jac.mask, jac.mask)]
             nonzero = np.unique(prods[prods != r.zero])
-            ok = all(
-                annihilator(r, int(w)).elements == jac.elements
-                for w in nonzero
-            ) and annihilator_ideal(jac2).elements == jac.elements
+            ok = (((r.mul[nonzero] == r.zero) == jac.mask).all()      # (0 : xy)
+                  and annihilator_ideal(jac2).elements == jac.elements)
         yield r, jac, (None if ok else
                        "Jac^2 nonzero and the annihilator alternative fails")
 

@@ -81,7 +81,7 @@ def test_criterion_01_golden_examples():
     assert is_weakly_one_absorbing_prime(z).holds
     oa = is_one_absorbing_prime(z)
     assert not oa.holds
-    assert find_one_triple_zeros(z)[0] == (2, 2, 3)
+    assert next(find_one_triple_zeros(z)) == (2, 2, 3)
 
     f = zero_ideal(make_zn(4))
     assert is_one_absorbing_prime(f).holds

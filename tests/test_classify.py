@@ -76,7 +76,7 @@ def test_golden_z6_0():
     oa = is_one_absorbing_prime(p)
     assert not oa.holds and oa.witness == (2, 2, 3)
     assert is_two_absorbing(p).holds
-    assert find_one_triple_zeros(p)[0] == (2, 2, 3)
+    assert next(find_one_triple_zeros(p)) == (2, 2, 3)
 
 
 def test_golden_z4_0():
@@ -170,7 +170,7 @@ def test_find_one_triple_zeros():
     # (4) in Z12 is weakly 1-absorbing prime but not 1-absorbing prime;
     # its triples all multiply to zero with xy, z outside P
     p = _ideal(12, 4)
-    triples = find_one_triple_zeros(p)
+    triples = list(find_one_triple_zeros(p))
     assert triples
     assert triples == sorted(triples)
     r = p.ring
@@ -178,14 +178,14 @@ def test_find_one_triple_zeros():
         assert r.mul[r.mul[x, y], z] == r.zero
         assert r.mul[x, y] not in p and z not in p
         assert not r.unit_mask[[x, y, z]].any()
-    with pytest.raises(NotW1AP):
+    with pytest.raises(NotW1AP):         # at the call, not at the first triple
         find_one_triple_zeros(_ideal(12, 6))
 
 
 def test_one_absorbing_has_no_triples():
     p = zero_ideal(make_zn(4))
     assert is_one_absorbing_prime(p).holds
-    assert find_one_triple_zeros(p) == []
+    assert list(find_one_triple_zeros(p)) == []
 
 
 def test_tmm_agreement():

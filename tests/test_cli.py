@@ -6,6 +6,7 @@ values and output is captured per call.
 
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -120,6 +121,31 @@ def test_cap_exits_3(capsys):
     assert "cap" in err
 
 
+@pytest.mark.parametrize("message, line", [
+    ("Unable to allocate 7.6 GiB", "error: Unable to allocate 7.6 GiB\n"),
+    ("", "error: out of memory\n"),
+])
+def test_memory_error_exits_3(capsys, monkeypatch, tmp_path, message, line):
+    def exhausted(rings):
+        raise MemoryError(message)
+    monkeypatch.setattr("idealis.cli.run_checks", exhausted)
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("Z6\n")
+    rc, out, err = run(capsys, "verify", "--corpus", str(corpus))
+    assert (rc, out, err) == (3, "", line)
+
+
+def _cli(*args: str, env: dict | None = None, **kwargs) -> subprocess.CompletedProcess:
+    """The CLI in a subprocess at the default caps, on this checkout's
+    source, with env added to the environment."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    base = {k: v for k, v in os.environ.items() if k != "IDEALIS_CAP"}
+    return subprocess.run([sys.executable, "-m", "idealis.cli", *args],
+                          capture_output=True, text=True, timeout=120,
+                          env={**base, "PYTHONPATH": path, **(env or {})}, **kwargs)
+
+
 def test_lattice_cap_exits_3_quickly():
     # LocalAlg(2) idealized five times by its maximal ideal: 256 elements
     # and 29213 ideals, above the 1024 a lattice may hold at the default
@@ -127,16 +153,32 @@ def test_lattice_cap_exits_3_quickly():
     ring = make_local_algebra(2)
     for _ in range(5):
         ring = make_idealization(ring, Ideal(ring, ring.nonunits))
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {k: v for k, v in os.environ.items() if k != "IDEALIS_CAP"}
     start = time.monotonic()
-    proc = subprocess.run(
-        [sys.executable, "-m", "idealis.cli", "classify", ring.text],
-        capture_output=True, text=True, timeout=120, env={**env, "PYTHONPATH": path})
+    proc = _cli("classify", ring.text)
     assert proc.returncode == 3 and proc.stdout == ""
     assert "more than 1024 ideals" in proc.stderr
     assert time.monotonic() - start < 5
+
+
+def test_verify_fits_a_memory_limit(tmp_path):
+    """verify on a ring of 1024 elements and 576 ideals under a 1 GiB
+    address-space limit, set in the child only. The zero ideal has
+    171685664 1-triple zeros, which the triple-zero checks fold over
+    blocks of the class cube; listing them ran out of that memory."""
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("LocalAlg(2) x LocalAlg(2) x Z2 x Z2 x Z2 x Z2\n")
+    limit = 1 << 30
+
+    def limited():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+    start = time.monotonic()
+    # one BLAS thread: the limit then bounds the program's arrays, not the
+    # address space a BLAS thread pool reserves per core
+    proc = _cli("verify", "--corpus", str(corpus), env={"OPENBLAS_NUM_THREADS": "1"},
+                preexec_fn=limited)
+    assert proc.returncode == 0, proc.stderr
+    assert "171685664 triples across the tested ideals" in proc.stdout
+    assert time.monotonic() - start < 60
 
 
 def test_cap_env_and_flag_precedence(capsys, monkeypatch):

@@ -19,6 +19,10 @@ the 2-absorbing and the 1-absorbing scans with the planes on the rings
 of the fault corpus, whose unit data is damaged, and the six conditions
 of tmm_characterize with the reference's there, also when each of those
 rings is relabeled and then damaged.
+The blocks of the class cube of 1-triple zeros must count the oracle's
+triples and decide each predicate the triple-zero checks fold over them
+as the oracle's list does, and the three checks must not change when
+every x class is its own block.
 Quotients that share a live ring's tables, and equal ideals built
 outside the lattice, read the witnesses of one shared scan.
 """
@@ -52,7 +56,7 @@ from idealis.classify import (
     _scan_one_absorbing,
     _scan_prime,
     _scan_two_absorbing,
-    _triple_zero_classes,
+    _triple_zero_blocks,
 )
 from idealis.rings import coset_least
 from fault_corpus import FAULT_TEXTS, corrupt_unit_scan, damaged_unit, fault_rings
@@ -75,7 +79,7 @@ def assert_scans_match_oracle(ring):
         assert rep.witnesses == oracle_witnesses(p), where
         w1ap = rep.verdicts["weaklyOneAbsorbingPrime"]
         if w1ap:
-            assert find_one_triple_zeros(p) == oracle_triple_zeros(p), where
+            assert list(find_one_triple_zeros(p)) == oracle_triple_zeros(p), where
         conditions = tmm_characterize(p)
         assert conditions == oracle_characterize(p), where
         assert set(conditions.values()) == {w1ap}, where
@@ -342,8 +346,7 @@ def test_one_absorbing_table_matches_planes_on_large_rings():
                 continue
             w1ap += 1
             zeros = find_one_triple_zeros(p)
-            got = np.fromiter(chain.from_iterable(zeros), dtype=np.intp,
-                              count=3 * len(zeros)).reshape(-1, 3)
+            got = np.fromiter(chain.from_iterable(zeros), dtype=np.intp).reshape(-1, 3)
             want = np.stack(plane_triple_zeros(p), axis=1)
             assert np.array_equal(got, want), where
             triples += len(want)
@@ -412,20 +415,90 @@ def test_relabeled_fault_corpus_matches_the_references():
     assert ideals == 156
 
 
+def _block_predicates(p, blocks, j) -> tuple:
+    """Folded over the blocks of the class cube of P: the number of
+    member triples, sizes[a] * sizes[b] * sizes[c] per class triple;
+    whether some xy lies outside the ideal j; whether some triple
+    qualifies, with xz and yz outside P; whether a qualifying xz or yz
+    lies outside j; whether a qualifying x, y or z does; and whether
+    some xy, xz or yz does."""
+    cl = p.ring.nonunit_classes
+    sizes, in_p = cl.sizes, p.mask[cl.ab]
+    out_j, rep_out_j = ~j.mask[cl.ab], ~j.mask[cl.reps]
+    count, xy, qual, strong, member, any_out = 0, False, False, False, False, False
+    for xs, cube in blocks:
+        count += int(sizes[xs] @ (cube @ sizes) @ sizes)
+        xy |= (cube & out_j[xs, :, None]).any()
+        q = cube & ~in_p[xs, None, :] & ~in_p[None]
+        qual |= q.any()
+        strong |= (q & (out_j[xs, None, :] | out_j[None])).any()
+        member |= (q & (rep_out_j[xs, None, None] | rep_out_j[:, None] | rep_out_j)).any()
+        any_out |= (cube & (out_j[xs, :, None] | out_j[xs, None, :] | out_j[None])).any()
+    return count, *(bool(v) for v in (xy, qual, strong, member, any_out))
+
+
+def _oracle_predicates(p, triples, j) -> tuple:
+    """The same predicates over the listed oracle_triple_zeros."""
+    mul, out_j = p.ring.mul, ~j.mask
+    x, y, z = triples.T
+    xy, xz, yz = mul[x, y], mul[x, z], mul[y, z]
+    q = ~p.mask[xz] & ~p.mask[yz]
+    return (len(x), bool(out_j[xy].any()), bool(q.any()),
+            bool((out_j[xz] | out_j[yz])[q].any()),
+            bool((out_j[x] | out_j[y] | out_j[z])[q].any()),
+            bool((out_j[xy] | out_j[xz] | out_j[yz]).any()))
+
+
 def test_class_triples_count_the_oracle_triple_zeros():
-    """The 1-triple zeros of P are the members of the class triples,
-    sizes[a] * sizes[b] * sizes[c] of them for each."""
-    tested = 0
+    """The class triples of the blocks stand for the 1-triple zeros of P:
+    the member count and each predicate that the triple-zero checks fold
+    over the blocks must equal the same predicate over the oracle's
+    list, for every weakly 1-absorbing prime P and every member j of the
+    lattice, (0 : P) and (0 : P^2) among them. Each predicate must take
+    both values."""
+    tested, seen = 0, set()
     for ring in build_corpus():
         if ring.size > MAX_SIZE:
             continue
-        for p in all_ideals(ring).proper:
+        lat = all_ideals(ring)
+        for p in lat.proper:
             if not is_weakly_one_absorbing_prime(p).holds:
                 continue
-            count = int(_triple_zero_classes(ring, p.mask)[3].sum())
-            assert count == len(oracle_triple_zeros(p)), (ring.text, p.elements)
-            tested += count > 0
+            blocks = list(_triple_zero_blocks(ring, p.mask))
+            triples = np.array(oracle_triple_zeros(p), dtype=np.intp).reshape(-1, 3)
+            for j in lat:
+                got = _block_predicates(p, blocks, j)
+                assert got == _oracle_predicates(p, triples, j), \
+                    (ring.text, p.elements, j.elements)
+                seen.update(enumerate(got[1:]))
+            tested += got[0] > 0
     assert tested > 100, tested
+    assert seen == {(i, v) for i in range(5) for v in (False, True)}
+
+
+def test_triple_zero_checks_at_a_small_budget(monkeypatch):
+    """At the default budget each corpus ring's class cube is one block;
+    with a budget of one entry every x class is its own block. The three
+    triple-zero checks must give the same results at both."""
+    scans = importlib.import_module("idealis.classify")
+    theorems = importlib.import_module("idealis.theorems")
+    rings = build_corpus()
+    names = ("triple_zero_annihilation", "reduced_triple_zero", "idealization_transfer")
+    calls = []
+
+    def counted(*args):
+        calls.append([])
+        for xs, cube in scans._triple_zero_blocks(*args):
+            calls[-1].append(len(cube))
+            yield xs, cube
+    monkeypatch.setattr(theorems, "_triple_zero_blocks", counted)
+    want = [theorems.CHECKS[name](rings) for name in names]
+    assert all(c.tested > 0 for c in want)
+    assert max(map(len, calls)) == 1
+    calls.clear()
+    monkeypatch.setattr(scans, "_BLOCK_ENTRIES", 1)
+    assert [theorems.CHECKS[name](rings) for name in names] == want
+    assert max(map(len, calls)) > 1 and {n for c in calls for n in c} == {1}
 
 
 def test_one_absorbing_table_cells_on_large_rings(monkeypatch):
