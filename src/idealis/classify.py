@@ -85,8 +85,8 @@ of nonunits is a violation exactly when its classes are, so the class
 cube of hits, cube[a, b, c] the hit of row ab[a, b] at column c, gives
 the 1-triple zeros, sizes[a]*sizes[b]*sizes[c] per class triple;
 _triple_zero_blocks yields it in blocks of x classes, none when the
-table has no hit. The checks that read it ask whether a product lies in
-an ideal, which no unit changes. Under damaged unit data the declared
+memoized strict scan found no hit. The checks that read it ask whether a
+product lies in an ideal, which no unit changes. Under damaged unit data the declared
 units are true units, so each class lies in a true associate class whose
 least member is a rep, and every rep is a declared nonunit: all of this,
 and the prime plane, holds.
@@ -202,24 +202,25 @@ def _one_absorbing_table(ring: FiniteRing, mask: np.ndarray):
     return cl, rows, cols, prods, mask[prods]
 
 
-def _triple_zero_rows(ring: FiniteRing, mask: np.ndarray) -> np.ndarray | None:
+def _triple_zero_rows(p: Ideal) -> np.ndarray | None:
     """Row w of the 1-absorbing table of P, by element w, over every class
-    z; the rows of no w are empty. None when the table has no hit."""
-    cl, rows, cols, _, hits = _one_absorbing_table(ring, mask)
-    if not hits.any():
+    z; the rows of no w are empty. None, without a build, when the
+    memoized strict scan of the same table found no hit."""
+    if is_one_absorbing_prime(p).holds:
         return None
-    of_w = np.zeros((ring.size, len(cl.reps)), dtype=bool)
+    cl, rows, cols, _, hits = _one_absorbing_table(p.ring, p.mask)
+    of_w = np.zeros((p.ring.size, len(cl.reps)), dtype=bool)
     of_w[np.ix_(cl.ws[rows], cols)] = hits
     return of_w
 
 
-def _triple_zero_blocks(ring: FiniteRing, mask: np.ndarray):
+def _triple_zero_blocks(p: Ideal):
     """(xs, cube) per block of x classes: xs the slice of the block's
     classes and cube[i, b, c] set when the classes xs[i], b and c are a
     class triple of 1-triple zeros. A block holds at most _BLOCK_ENTRIES
     entries, or one class; there is none when the table has no hit."""
-    of_w = _triple_zero_rows(ring, mask)
-    ab = ring.nonunit_classes.ab
+    of_w = _triple_zero_rows(p)
+    ab = p.ring.nonunit_classes.ab
     step = max(1, _BLOCK_ENTRIES // ab.size)
     for s in range(0, 0 if of_w is None else len(ab), step):
         yield slice(s, s + step), of_w[ab[s:s + step]]
@@ -386,7 +387,7 @@ def find_one_triple_zeros(p: Ideal) -> Iterator[tuple[int, int, int]]:
     _require_proper(p)
     if not is_weakly_one_absorbing_prime(p).holds:
         raise NotW1AP(f"{p!r} is not weakly 1-absorbing prime")
-    of_w = _triple_zero_rows(p.ring, p.mask)
+    of_w = _triple_zero_rows(p)
     if of_w is None:
         return iter(())
     cl, nu = p.ring.nonunit_classes, p.ring.nonunits

@@ -5,8 +5,9 @@ diagram), verify (theorem harness over a corpus), search (stream
 (ring, ideal) pairs matching a property expression).
 
 Exit codes: 0 success, 1 failed check or recheck, 2 syntax or domain
-error, 3 cap exceeded or out of memory. JSON output is key-sorted and
-byte-stable for a fixed input and tool version.
+error (a malformed IDEALIS_CAP included), 3 cap exceeded or out of
+memory. IDEALIS_CAP is the caps' one setting; no flag overrides it. JSON
+output is key-sorted and byte-stable for a fixed input and tool version.
 """
 
 from __future__ import annotations
@@ -89,7 +90,7 @@ def classification_report(ring: FiniteRing, ideals: list[Ideal],
 
 
 def _cmd_classify(args) -> int:
-    ring = build_ring_text(args.ring, cap=args.cap)
+    ring = build_ring_text(args.ring)
     if args.ideal is not None:
         ideals = [parse_ideal(args.ideal, ring)]
         lines = [f"{ring.text} {ideal_text(ideals[0])}"]
@@ -134,7 +135,7 @@ def _maximal_annotation(lat, idx: int) -> str:
 
 
 def _cmd_lattice(args) -> int:
-    ring = build_ring_text(args.ring, cap=args.cap)
+    ring = build_ring_text(args.ring)
     lat = all_ideals(ring)
     labels = [ideal_text(p) for p in lat]
     codes = [_verdict_code(classify(p).verdicts) for p in lat.proper]
@@ -208,7 +209,7 @@ def _cmd_verify(args) -> int:
         exprs = _read_corpus(args.corpus)
     else:
         exprs = default_corpus_exprs()
-    rings = build_corpus(exprs, cap=args.cap)
+    rings = build_corpus(exprs)
     checks = run_checks(rings)
     print(f"corpus: {len(rings)} rings, hash {corpus_hash(exprs)}")
     print(render_checks(checks))
@@ -312,16 +313,15 @@ def eval_property(node, verdicts: dict[str, bool]) -> bool:
     return eval_property(node[1], verdicts) or eval_property(node[2], verdicts)
 
 
-def _search_rings(size: int, cap: int | None):
+def _search_rings(size: int, _unused=None):  # perfbench/tests/test_harness.py passes None
     """Deterministic universe for one size: Z_size, then two-factor
     products Z_a x Z_b with a <= b and ab = size."""
-    yield make_zn(size, cap=cap)
+    yield make_zn(size)
     for a in range(2, size + 1):
         if a * a > size:
             break
         if size % a == 0:
-            yield make_product(make_zn(a, cap=cap),
-                               make_zn(size // a, cap=cap), cap=cap)
+            yield make_product(make_zn(a), make_zn(size // a))
 
 
 def _cmd_search(args) -> int:
@@ -329,7 +329,7 @@ def _cmd_search(args) -> int:
     if args.max_size < 1:
         raise ValueError(f"--max-size must be a positive integer, got {args.max_size}")
     for size in range(2, args.max_size + 1):
-        for ring in _search_rings(size, args.cap):
+        for ring in _search_rings(size):
             for p in all_ideals(ring).proper:
                 if eval_property(prop, classify(p).verdicts):
                     print(f"{ring.text}\t{ideal_text(p)}")
@@ -341,17 +341,17 @@ def _cmd_search(args) -> int:
 # entry point
 
 
+_CAP_NOTE = (f"IDEALIS_CAP=N (default {DEFAULT_ELEMENT_CAP}) bounds rings at N elements "
+             "and ideal lattices at max(|A|, N) ideals; exceeding either exits 3.")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
-        prog="idealis",
+        prog="idealis", epilog=_CAP_NOTE,
         description="Exact ideal classification over finite commutative rings.")
     sub = ap.add_subparsers(dest="command", required=True)
-    capped = argparse.ArgumentParser(add_help=False)
-    capped.add_argument("--cap", type=int, default=None,
-                        help="element cap override (default: IDEALIS_CAP, "
-                        f"else {DEFAULT_ELEMENT_CAP})")
 
-    p = sub.add_parser("classify", parents=[capped],
+    p = sub.add_parser("classify", epilog=_CAP_NOTE,
                        help="classify one ideal or all proper ideals")
     p.add_argument("ring", help='ring expression, e.g. "Z12"')
     p.add_argument("ideal", nargs="?", default=None,
@@ -360,12 +360,12 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="re-validate every reported witness; exit 1 on mismatch")
     p.set_defaults(func=_cmd_classify)
 
-    p = sub.add_parser("lattice", parents=[capped], help="ideal lattice as JSON or DOT")
+    p = sub.add_parser("lattice", epilog=_CAP_NOTE, help="ideal lattice as JSON or DOT")
     p.add_argument("ring")
     p.add_argument("--dot", action="store_true", help="emit a DOT Hasse diagram")
     p.set_defaults(func=_cmd_lattice)
 
-    p = sub.add_parser("verify", parents=[capped],
+    p = sub.add_parser("verify", epilog=_CAP_NOTE,
                        help="run every theorem check over a corpus")
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--corpus", help="file of ring expressions, one per line")
@@ -373,7 +373,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="use the built-in default corpus")
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("search", parents=[capped],
+    p = sub.add_parser("search", epilog=_CAP_NOTE,
                        help="stream (ring, ideal) pairs matching a property")
     p.add_argument("--property", required=True,
                    help='e.g. "w1ap AND NOT weaklyPrime"')
@@ -385,8 +385,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.cap is not None and args.cap < 1:
-            raise ValueError(f"--cap must be a positive integer, got {args.cap}")
         code = args.func(args)
         sys.stdout.flush()          # a closed pipe shows here, not at exit
         return code

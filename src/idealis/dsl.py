@@ -164,32 +164,31 @@ print_ideal_literal = ex.print_ideal_literal
 # elaboration
 
 
-def build_ring(e: ex.RingExpr, cap: int | None = None) -> FiniteRing:
+def build_ring(e: ex.RingExpr) -> FiniteRing:
     """Elaborate an expression into a verified ring."""
     if isinstance(e, ex.Zn):
-        return make_zn(e.n, cap=cap)
+        return make_zn(e.n)
     if isinstance(e, ex.LocalAlg):
-        return make_local_algebra(e.p, cap=cap)
+        return make_local_algebra(e.p)
     if isinstance(e, ex.Product):
-        return make_product(build_ring(e.left, cap=cap),
-                            build_ring(e.right, cap=cap), cap=cap)
+        return make_product(build_ring(e.left), build_ring(e.right))
     if isinstance(e, ex.Quotient):
-        r = build_ring(e.ring, cap=cap)
+        r = build_ring(e.ring)
         q = ideal_gen(r, [resolve_literal(r, lit) for lit in e.ideal])
-        return make_quotient(r, q, cap=cap)[0]
+        return make_quotient(r, q)[0]
     if isinstance(e, ex.Localize):
-        r = build_ring(e.ring, cap=cap)
+        r = build_ring(e.ring)
         s = [resolve_literal(r, lit) for lit in e.elems]
-        return make_localization(r, s, cap=cap)[0]
+        return make_localization(r, s)[0]
     if isinstance(e, ex.Idealize):
-        r = build_ring(e.ring, cap=cap)
+        r = build_ring(e.ring)
         j = ideal_gen(r, [resolve_literal(r, lit) for lit in e.ideal])
-        return make_idealization(r, j, cap=cap)
+        return make_idealization(r, j)
     raise TypeError(f"not a ring expression: {e!r}")
 
 
-def build_ring_text(text: str, cap: int | None = None) -> FiniteRing:
-    return build_ring(parse_ring(text), cap=cap)
+def build_ring_text(text: str) -> FiniteRing:
+    return build_ring(parse_ring(text))
 
 
 def parse_ideal(text: str, ring: FiniteRing) -> Ideal:

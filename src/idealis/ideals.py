@@ -300,7 +300,8 @@ def _principal_closure(ring: FiniteRing, seeds: np.ndarray, cap: int,
             key = s.tobytes()
             if key not in found:
                 if len(found) >= cap:
-                    raise LatticeCapExceeded(f"more than {cap} ideals in {ring.text}")
+                    raise LatticeCapExceeded(f"more than {cap} ideals in {ring.text}, "
+                                             "the bound max(|A|, IDEALIS_CAP)")
                 found[key] = (s, gens + (pgens[b],))
                 worklist.append(found[key])
     return list(found.values())
@@ -351,7 +352,8 @@ def all_ideals(ring: FiniteRing) -> IdealLattice:
             seeds = np.union1d(seeds, [ring.one])
         parts.append((e, _principal_closure(ring, seeds, cap)))
     if math.prod(len(local) for _, local in parts) > cap:
-        raise LatticeCapExceeded(f"more than {cap} ideals in {ring.text}")
+        raise LatticeCapExceeded(f"more than {cap} ideals in {ring.text}, "
+                                 "the bound max(|A|, IDEALIS_CAP)")
     masks = np.ones((1, n), dtype=bool)
     spanning: list[tuple[int, ...]] = [()]
     for e, local in parts:

@@ -42,6 +42,9 @@ full, never by digest alone) shares that record, which lives as long as
 any ring built with them. A ring reads each fact through a read-only
 property of its record, and every array there is read-only, so neither
 the tables nor the unit data can be rebound or written.
+
+Ring sizes have one bound, element_cap(), read from IDEALIS_CAP; each
+constructor that grows a ring checks it before it allocates a table.
 """
 
 from __future__ import annotations
@@ -99,18 +102,17 @@ class _Proven:
 
 
 def element_cap() -> int:
-    """Current element cap; the IDEALIS_CAP env var overrides the default."""
+    """IDEALIS_CAP, else DEFAULT_ELEMENT_CAP; it bounds rings and lattices."""
     raw = os.environ.get("IDEALIS_CAP", "").strip() or str(DEFAULT_ELEMENT_CAP)
     if not raw.isdecimal() or int(raw) < 1:
         raise ValueError(f"IDEALIS_CAP must be a positive integer, got {raw!r}")
     return int(raw)
 
 
-def _check_cap(n: int, cap: int | None) -> None:
-    """Refuse a ring of n elements above the cap (default: element_cap())."""
-    limit = element_cap() if cap is None else cap
-    if n > limit:
-        raise CapExceeded(f"ring would have {n} elements, cap is {limit}")
+def _check_cap(n: int) -> None:
+    """Refuse a ring of n elements above element_cap()."""
+    if n > (limit := element_cap()):
+        raise CapExceeded(f"ring would have {n} elements, cap is {limit} (IDEALIS_CAP)")
 
 
 class FiniteRing:
@@ -155,14 +157,14 @@ class FiniteRing:
     _scans = property(lambda self: self._proven.scans)
 
     def __init__(self, add, mul, zero: int, one: int,
-                 provenance: ex.RingExpr, cap: int | None = None, *,
+                 provenance: ex.RingExpr, *,
                  factors: tuple[FiniteRing, FiniteRing] | None = None,
                  idealization: tuple[FiniteRing, Ideal] | None = None):
         add, mul = np.asarray(add), np.asarray(mul)
         if add.ndim != 2 or add.shape[0] != add.shape[1]:
             raise ValueError("addition table must be square")
         n = add.shape[0]
-        _check_cap(n, cap)
+        _check_cap(n)
         if mul.shape != (n, n):
             raise ValueError("multiplication table shape does not match")
         if n < 2:
@@ -425,11 +427,11 @@ class Homomorphism:
 # constructors
 
 
-def make_zn(n: int, cap: int | None = None) -> FiniteRing:
+def make_zn(n: int) -> FiniteRing:
     """The ring of integers modulo n, elements 0..n-1."""
     if n < 2:
         raise ValueError("Z_n needs n >= 2")
-    _check_cap(n, cap)
+    _check_cap(n)
     # (n-1)^2 fits int32 up to n = 46341; the tables are built in the
     # dtype FiniteRing keeps, so no int64 copy is made
     idx = np.arange(n, dtype=np.int32 if n <= _INT32_PRODUCTS else np.int64)
@@ -437,14 +439,14 @@ def make_zn(n: int, cap: int | None = None) -> FiniteRing:
     add %= n
     mul = idx[:, None] * idx[None, :]
     mul %= n
-    return FiniteRing(add, mul, 0, 1, ex.Zn(n), cap=cap)
+    return FiniteRing(add, mul, 0, 1, ex.Zn(n))
 
 
-def make_product(r1: FiniteRing, r2: FiniteRing, cap: int | None = None) -> FiniteRing:
+def make_product(r1: FiniteRing, r2: FiniteRing) -> FiniteRing:
     """Direct product; element (a, b) is stored at index a*r2.size + b."""
     s1, s2 = r1.size, r2.size
     n = s1 * s2
-    _check_cap(n, cap)
+    _check_cap(n)
     # every entry is below n, so the int32 factor tables build it exactly
     add = (r1.add[:, None, :, None] * s2
            + r2.add[None, :, None, :]).reshape(n, n)
@@ -453,7 +455,7 @@ def make_product(r1: FiniteRing, r2: FiniteRing, cap: int | None = None) -> Fini
     zero = r1.zero * s2 + r2.zero
     one = r1.one * s2 + r2.one
     prov = ex.Product(r1.provenance, r2.provenance)
-    return FiniteRing(add, mul, zero, one, prov, cap=cap, factors=(r1, r2))
+    return FiniteRing(add, mul, zero, one, prov, factors=(r1, r2))
 
 
 def coset_least(r: FiniteRing, members: np.ndarray) -> np.ndarray:
@@ -469,17 +471,16 @@ def _cosets(r: FiniteRing, members: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
 
 def _quotient_ring(r: FiniteRing, reps: np.ndarray, proj: np.ndarray,
-                   prov: ex.RingExpr, cap: int | None) -> tuple[FiniteRing, Homomorphism]:
+                   prov: ex.RingExpr) -> tuple[FiniteRing, Homomorphism]:
     """The ring on the cosets numbered by proj, where reps[c] lies in coset
     c, plus the verified projection from r."""
     ix = np.ix_(reps, reps)
     ring = FiniteRing(proj[r.add[ix]], proj[r.mul[ix]], int(proj[r.zero]),
-                      int(proj[r.one]), prov, cap=cap)
+                      int(proj[r.one]), prov)
     return ring, Homomorphism(r, ring, proj)
 
 
-def make_quotient(r: FiniteRing, q: "Ideal",
-                  cap: int | None = None) -> tuple[FiniteRing, Homomorphism]:
+def make_quotient(r: FiniteRing, q: "Ideal") -> tuple[FiniteRing, Homomorphism]:
     """Quotient ring r/q plus the verified projection homomorphism.
 
     Cosets are labelled by their least element; quotient element i is the
@@ -492,14 +493,13 @@ def make_quotient(r: FiniteRing, q: "Ideal",
         raise ImproperIdeal("cannot quotient by the whole ring (zero ring)")
     reps, proj = _cosets(r, q.mask)
     lits = tuple(element_literal(r, g) for g in q.generators)
-    ring, hom = _quotient_ring(r, reps, proj, ex.Quotient(r.provenance, lits), cap)
+    ring, hom = _quotient_ring(r, reps, proj, ex.Quotient(r.provenance, lits))
     if hom.kernel != q.elements:
         raise ValueError("projection kernel disagrees with the quotienting ideal")
     return ring, hom
 
 
-def make_localization(r: FiniteRing, s: Iterable[int],
-                      cap: int | None = None) -> tuple[FiniteRing, Homomorphism]:
+def make_localization(r: FiniteRing, s: Iterable[int]) -> tuple[FiniteRing, Homomorphism]:
     """Localization S^-1 r plus the verified canonical map a -> a/1.
 
     In a finite ring the canonical map is onto: the powers of t in S
@@ -539,7 +539,7 @@ def make_localization(r: FiniteRing, s: Iterable[int],
     reps, proj = reps[order], np.argsort(order)[proj]
 
     lits = tuple(element_literal(r, int(a)) for a in s_idx)
-    ring, hom = _quotient_ring(r, reps, proj, ex.Localize(r.provenance, lits), cap)
+    ring, hom = _quotient_ring(r, reps, proj, ex.Localize(r.provenance, lits))
     if not ring.unit_mask[proj[s_idx]].all():
         raise ValueError("some element of S fails to become a unit")
     if hom.kernel != tuple(torsion.tolist()):
@@ -547,7 +547,7 @@ def make_localization(r: FiniteRing, s: Iterable[int],
     return ring, hom
 
 
-def make_idealization(r: FiniteRing, j: "Ideal", cap: int | None = None) -> FiniteRing:
+def make_idealization(r: FiniteRing, j: "Ideal") -> FiniteRing:
     """Trivial extension of r by the cyclic module M = r/j.
 
     Elements are pairs (a, m) with m a coset of j, stored at index
@@ -559,7 +559,7 @@ def make_idealization(r: FiniteRing, j: "Ideal", cap: int | None = None) -> Fini
     mreps, to_m = _cosets(r, j.mask)                  # module coset rank
     k = len(mreps)
     n = r.size * k
-    _check_cap(n, cap)
+    _check_cap(n)
     to_m = to_m.astype(np.int32)
     madd = to_m[r.add[np.ix_(mreps, mreps)]]
     act = to_m[r.mul[:, mreps]]                        # act[a, m] = rank(a*m)
@@ -575,7 +575,7 @@ def make_idealization(r: FiniteRing, j: "Ideal", cap: int | None = None) -> Fini
     one = r.one * k + m_zero
     lits = tuple(element_literal(r, g) for g in j.generators)
     prov = ex.Idealize(r.provenance, lits)
-    ring = FiniteRing(add, mul, zero, one, prov, cap=cap, idealization=(r, j))
+    ring = FiniteRing(add, mul, zero, one, prov, idealization=(r, j))
 
     expected_units = r.unit_mask[np.arange(n) // k]
     if not np.array_equal(ring.unit_mask, expected_units):
@@ -583,7 +583,7 @@ def make_idealization(r: FiniteRing, j: "Ideal", cap: int | None = None) -> Fini
     return ring
 
 
-def make_local_algebra(p: int, cap: int | None = None) -> FiniteRing:
+def make_local_algebra(p: int) -> FiniteRing:
     """k[X, Y]/(X^2, XY, Y^2) over the field with p elements.
 
     Element a + b*x + c*y is stored at index a*p^2 + b*p + c, so x sits
@@ -592,7 +592,7 @@ def make_local_algebra(p: int, cap: int | None = None) -> FiniteRing:
     if p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
         raise NotPrime(f"{p} is not prime")
     n = p ** 3
-    _check_cap(n, cap)
+    _check_cap(n)
     # digits a, b, c of the row element on axes 0-2, a2, b2, c2 of the
     # column on axes 3-5: only the final int32 sum of each table is n x n
     x = np.arange(p, dtype=np.int32)
@@ -601,7 +601,7 @@ def make_local_algebra(p: int, cap: int | None = None) -> FiniteRing:
            + (c + c2) % p).reshape(n, n)
     mul = ((a * a2) % p * p ** 2 + (a * b2 + b * a2) % p * p
            + (a * c2 + c * a2) % p).reshape(n, n)
-    return FiniteRing(add, mul, 0, p ** 2, ex.LocalAlg(p), cap=cap)
+    return FiniteRing(add, mul, 0, p ** 2, ex.LocalAlg(p))
 
 
 # ---------------------------------------------------------------------------
@@ -656,5 +656,5 @@ def zn_isomorphism(r: FiniteRing) -> Homomorphism | None:
     f[0] = r.zero
     for k in range(1, r.size):
         f[k] = r.add[f[k - 1], r.one]
-    hom = Homomorphism(make_zn(r.size, cap=r.size), r, f)
+    hom = Homomorphism(make_zn(r.size), r, f)
     return hom if hom.is_injective else None

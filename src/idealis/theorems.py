@@ -345,7 +345,7 @@ def check_triple_zero_annihilation(rings: list[FiniteRing]) -> Instances:
             out_p = ~annihilator_ideal(p).mask[cl.ab]           # w*P != 0
             out_p2 = ~annihilator_ideal(lat[p2]).mask[cl.reps]  # x*P^2 != 0
             xy = qual = strong = False
-            for xs, cube in _triple_zero_blocks(r, p.mask):
+            for xs, cube in _triple_zero_blocks(p):
                 triples_seen += int(sizes[xs] @ (cube @ sizes) @ sizes)
                 xy |= (cube & out_p[xs, :, None]).any()
                 q = cube & ~in_p[xs, None, :] & ~in_p[None]     # xz, yz outside P
@@ -376,7 +376,7 @@ def check_reduced_triple_zero(rings: list[FiniteRing]) -> Instances:
                 nonzero_cases += 1
             in_p = p.mask[r.nonunit_classes.ab]         # stop at a qualifying triple
             if not any((cube & ~in_p[xs, None, :] & ~in_p[None]).any()
-                       for xs, cube in _triple_zero_blocks(r, p.mask)):
+                       for xs, cube in _triple_zero_blocks(p)):
                 yield VACUOUS
                 continue
             yield r, p, (None if p.is_zero else
@@ -404,7 +404,7 @@ def check_idealization_transfer(rings: list[FiniteRing]) -> Instances:
             lhs = _w1ap(Ideal(r, members.tolist()))
             rhs = _w1ap(p) and not any(       # some xy, xz or yz outside Ann(M)
                 (cube & (out_m[xs, :, None] | out_m[xs, None, :] | out_m[None])).any()
-                for xs, cube in _triple_zero_blocks(base, p.mask))
+                for xs, cube in _triple_zero_blocks(p))
             yield base, p, (None if lhs == rhs else
                             f"extension scan in {r.text} gives {lhs}, "
                             f"base criterion gives {rhs}")
@@ -604,10 +604,10 @@ def _zn_row(r: FiniteRing) -> dict:
     }
 
 
-def zn_classification(max_n: int, cap: int | None = None) -> list[dict]:
+def zn_classification(max_n: int) -> list[dict]:
     """Engine verdict of all-proper-ideals-w1ap for Z_n against the
     arithmetic shape predicate, for 2 <= n <= max_n."""
-    return [_zn_row(make_zn(n, cap=cap)) for n in range(2, max_n + 1)]
+    return [_zn_row(make_zn(n)) for n in range(2, max_n + 1)]
 
 
 def check_zn_table(rings: list[FiniteRing]) -> Instances:
@@ -692,16 +692,15 @@ def corpus_hash(exprs: list[ex.RingExpr] | None = None) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def build_corpus(exprs: list[ex.RingExpr] | None = None,
-                 cap: int | None = None) -> list[FiniteRing]:
+def build_corpus(exprs: list[ex.RingExpr] | None = None) -> list[FiniteRing]:
     if exprs is None:
         exprs = default_corpus_exprs()
-    return [build_ring(e, cap=cap) for e in exprs]
+    return [build_ring(e) for e in exprs]
 
 
 def run_checks(rings: list[FiniteRing]) -> list[TheoremCheck]:
     return [CHECKS[name](rings) for name in CHECK_ORDER]
 
 
-def run_default_checks(cap: int | None = None) -> list[TheoremCheck]:
-    return run_checks(build_corpus(cap=cap))
+def run_default_checks() -> list[TheoremCheck]:
+    return run_checks(build_corpus())

@@ -26,8 +26,7 @@ from idealis.rings import element_literal
 PAIR_CAP = 8192
 
 
-def oracle_localization(r: FiniteRing, s: Iterable[int],
-                        cap: int | None = None) -> tuple[FiniteRing, Homomorphism]:
+def oracle_localization(r: FiniteRing, s: Iterable[int]) -> tuple[FiniteRing, Homomorphism]:
     s_idx = np.asarray(sorted({int(a) for a in s}), dtype=np.intp)
     if len(s_idx) == 0:
         raise NotMultClosed("S is empty")
@@ -65,8 +64,7 @@ def oracle_localization(r: FiniteRing, s: Iterable[int],
         raise ValueError("pair equivalence failed to be transitive")
     reps = np.unique(cls_rep)
     k = len(reps)
-    limit = element_cap() if cap is None else cap
-    if k > limit:
+    if k > (limit := element_cap()):
         raise CapExceeded(f"ring would have {k} elements, cap is {limit}")
     rank = np.full(m, -1, dtype=np.int32)
     rank[reps] = np.arange(k, dtype=np.int32)
@@ -83,6 +81,6 @@ def oracle_localization(r: FiniteRing, s: Iterable[int],
     zero_c = int(pair_class[r.zero * ns + one_pos])
     one_c = int(pair_class[r.one * ns + one_pos])
     lits = tuple(element_literal(r, int(a)) for a in s_idx)
-    ring = FiniteRing(q_add, q_mul, zero_c, one_c, Localize(r.provenance, lits), cap=cap)
+    ring = FiniteRing(q_add, q_mul, zero_c, one_c, Localize(r.provenance, lits))
     can = pair_class[np.arange(r.size, dtype=np.int64) * ns + one_pos]
     return ring, Homomorphism(r, ring, can)

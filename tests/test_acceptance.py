@@ -12,6 +12,7 @@ import sys
 import time
 from pathlib import Path
 
+from conftest import capped
 from idealis import (
     CapExceeded,
     ElementOutOfRange,
@@ -288,7 +289,7 @@ def test_criterion_09_dsl_round_trip():
         text = print_expr(e)
         assert parse_ring(text) == e, f"AST {i}: {text}"
         try:
-            ring = build_ring(e, cap=FUZZ_CAP)
+            ring = capped(FUZZ_CAP, build_ring, e)
         except FUZZ_BUILD_ERRORS:
             continue
         built += 1
@@ -326,7 +327,7 @@ def test_criterion_09_dsl_round_trip():
     for i in range(500):
         e = _fuzz_expr(small, 2, max_n=4, max_lit=3)
         try:
-            ring = build_ring(e, cap=FUZZ_CAP)
+            ring = capped(FUZZ_CAP, build_ring, e)
         except FUZZ_BUILD_ERRORS:
             continue
         built_small += 1

@@ -115,10 +115,13 @@ def test_parse_error_exits_2(capsys):
     assert rc == 2
 
 
-def test_cap_exits_3(capsys):
-    rc, _, err = run(capsys, "classify", "Z40", "--cap", "30")
-    assert rc == 3
+def test_cap_exits_3(capsys, monkeypatch):
+    monkeypatch.setenv("IDEALIS_CAP", "30")
+    rc, out, err = run(capsys, "classify", "Z40")
+    assert rc == 3 and out == ""
     assert "cap" in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.rstrip().endswith("(IDEALIS_CAP)")
 
 
 @pytest.mark.parametrize("message, line", [
@@ -149,7 +152,7 @@ def _cli(*args: str, env: dict | None = None, **kwargs) -> subprocess.CompletedP
 def test_lattice_cap_exits_3_quickly():
     # LocalAlg(2) idealized five times by its maximal ideal: 256 elements
     # and 29213 ideals, above the 1024 a lattice may hold at the default
-    # caps; --cap raises the element cap, not this bound
+    # caps
     ring = make_local_algebra(2)
     for _ in range(5):
         ring = make_idealization(ring, Ideal(ring, ring.nonunits))
@@ -157,6 +160,7 @@ def test_lattice_cap_exits_3_quickly():
     proc = _cli("classify", ring.text)
     assert proc.returncode == 3 and proc.stdout == ""
     assert "more than 1024 ideals" in proc.stderr
+    assert proc.stderr.rstrip().endswith("max(|A|, IDEALIS_CAP)")
     assert time.monotonic() - start < 5
 
 
@@ -185,8 +189,6 @@ def test_cap_env_and_flag_precedence(capsys, monkeypatch):
     monkeypatch.setenv("IDEALIS_CAP", "30")
     rc, _, _ = run(capsys, "classify", "Z40", "(0)")
     assert rc == 3
-    rc, _, _ = run(capsys, "classify", "Z40", "(0)", "--cap", "50")
-    assert rc == 0
     monkeypatch.setenv("IDEALIS_CAP", "50")
     rc, _, _ = run(capsys, "classify", "Z40", "(0)")
     assert rc == 0
@@ -200,25 +202,24 @@ def test_invalid_cap_env_exits_2(capsys, monkeypatch, value):
     assert "IDEALIS_CAP must be a positive integer" in err
 
 
-@pytest.mark.parametrize("value", ["-5", "0"])
-def test_nonpositive_cap_flag_exits_2(capsys, value):
-    rc, out, err = run(capsys, "classify", "Z12", "(4)", "--cap", value)
-    assert rc == 2 and out == ""
-    assert "--cap must be a positive integer" in err
-
-
 def test_non_integer_cap_flag_exits_2(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["classify", "Z12", "(4)", "--cap", "abc"])
-    assert exc.value.code == 2
-    assert "--cap" in capsys.readouterr().err
+    # IDEALIS_CAP is the one setting: --cap is a usage error
+    for value in ("50", "abc"):
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", "Z40", "--cap", value])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --cap" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["classify", "lattice", "verify", "search"])
 def test_every_command_documents_cap(capsys, command):
-    with pytest.raises(SystemExit):
-        main([command, "--help"])
-    assert "element cap override" in capsys.readouterr().out
+    for argv in ([command, "--help"], ["--help"]):
+        with pytest.raises(SystemExit):
+            main(argv)
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert ("IDEALIS_CAP=N (default 1024) bounds rings at N elements and "
+                "ideal lattices at max(|A|, N) ideals; exceeding either exits 3"
+                ) in help_text
 
 
 def test_localization_with_many_denominators(capsys):

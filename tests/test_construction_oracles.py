@@ -38,6 +38,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from axiom_oracle import homomorphism_literal, verify_triples_literal
+from conftest import capped
 from lattice_oracle import additive_closure
 from idealis import (
     FiniteRing,
@@ -82,7 +83,7 @@ def test_default_corpus_tables_pass_the_literal_cubes(small_corpus):
           suppress_health_check=[HealthCheck.too_slow])
 @given(EXPRS)
 def test_random_rings_pass_the_literal_cubes(expr):
-    ring = build_ring(expr, cap=MAX_SIZE)
+    ring = capped(MAX_SIZE, build_ring, expr)
     verify_triples_literal(ring.add, ring.mul)
 
 
@@ -304,7 +305,7 @@ def test_default_corpus_trusted_ideals_pass_the_ideal_check(small_corpus):
           suppress_health_check=[HealthCheck.too_slow])
 @given(EXPRS)
 def test_random_rings_trusted_ideals_pass_the_ideal_check(expr):
-    assert_maps_transport_ideals(build_ring(expr, cap=MAX_SIZE))
+    assert_maps_transport_ideals(capped(MAX_SIZE, build_ring, expr))
 
 
 _MAP_FAULT = re.compile(r"f\(a(.)b\) != f\(a\)\1f\(b\) at \((\d+), (\d+)\)")
@@ -351,7 +352,7 @@ def test_default_corpus_map_checks_match_the_literal_one(small_corpus):
           suppress_health_check=[HealthCheck.too_slow])
 @given(EXPRS, st.randoms(use_true_random=False))
 def test_random_rings_map_checks_match_the_literal_one(expr, rnd):
-    assert_map_checks_match_the_literal_one(build_ring(expr, cap=MAX_SIZE), rnd)
+    assert_map_checks_match_the_literal_one(capped(MAX_SIZE, build_ring, expr), rnd)
 
 
 def test_a_map_that_keeps_only_sums_is_rejected_by_the_product_check():

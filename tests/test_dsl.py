@@ -7,6 +7,7 @@ acceptable tokens at that point.
 
 import pytest
 
+from conftest import capped
 from idealis import (
     ElementOutOfRange,
     ParseError,
@@ -151,8 +152,8 @@ def test_build_golden_rings():
 def test_build_respects_cap():
     from idealis import CapExceeded
     with pytest.raises(CapExceeded):
-        build_ring_text("Z40", cap=30)
-    assert build_ring_text("Z40", cap=40).size == 40
+        capped(30, build_ring_text, "Z40")
+    assert capped(40, build_ring_text, "Z40").size == 40
 
 
 def test_parse_ideal_and_text():

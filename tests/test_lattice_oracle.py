@@ -17,6 +17,7 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import capped
 from idealis import (
     all_ideals,
     build_corpus,
@@ -192,11 +193,11 @@ EXPRS = _ring_expr()
           suppress_health_check=[HealthCheck.too_slow])
 @given(EXPRS)
 def test_random_rings_match_oracle(expr):
-    assert_matches_oracle(build_ring(expr, cap=MAX_SIZE))
+    assert_matches_oracle(capped(MAX_SIZE, build_ring, expr))
 
 
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(EXPRS)
 def test_random_rings_arithmetic_matches_oracle(expr):
-    assert_arithmetic_matches_oracle(build_ring(expr, cap=MAX_SIZE))
+    assert_arithmetic_matches_oracle(capped(MAX_SIZE, build_ring, expr))

@@ -11,6 +11,7 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import capped
 from idealis import (
     EngineError,
     build_corpus,
@@ -76,7 +77,7 @@ def test_random_localizations_match_oracle(expr, gens, picks):
     not nilpotent or, for gens = 0, the picked elements as they are,
     which both constructions must reject alike when they lack 1, are
     not closed or contain 0."""
-    ring = build_ring(expr, cap=MAX_SIZE)
+    ring = capped(MAX_SIZE, build_ring, expr)
     if gens == 0:
         s = {a % ring.size for a in picks}
     else:

@@ -1,8 +1,10 @@
 """The README agrees with the code: every ring form of its expression
 table builds and prints back to itself, its element-literal example
 resolves, its Python API example runs, and its `verify` sample is the
-start of the golden output."""
+start of the golden output, and every flag it names is one the CLI
+accepts."""
 
+import argparse
 import re
 from pathlib import Path
 
@@ -12,6 +14,7 @@ from idealis import (
     parse_ideal,
     zn_isomorphism,
 )
+from idealis.cli import _build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 README = (ROOT / "README.md").read_text(encoding="utf-8")
@@ -53,3 +56,20 @@ def test_verify_sample_is_the_golden_output():
     golden = (ROOT / "tests" / "golden" / "verify_default.txt").read_text(encoding="utf-8")
     assert elided == "..." and len(shown) > 2
     assert shown == golden.splitlines()[:len(shown)]
+
+
+def _readme_flags() -> set[str]:
+    """Every --option in a code span or on an `idealis ...` line."""
+    texts = re.findall(r"`([^`\n]+)`", README) + re.findall(r"\bidealis [^\n]*", README)
+    return {flag for text in texts for flag in re.findall(r"(?<![\w-])--[a-z][\w-]*", text)}
+
+
+def test_readme_flags_are_cli_flags():
+    ap = _build_parser()
+    (sub,) = (a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
+    accepted = set(ap._option_string_actions).union(
+        *(p._option_string_actions for p in sub.choices.values()))
+    named = _readme_flags()
+    assert {"--recheck", "--dot", "--corpus", "--default", "--property",
+            "--max-size"} <= named
+    assert named <= accepted, named - accepted

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from axiom_oracle import homomorphism_literal
+from conftest import capped
 from idealis import (
     CapExceeded,
     FiniteRing,
@@ -47,7 +48,7 @@ rings = importlib.import_module("idealis.rings")
 
 def test_zn_tables_are_modular_arithmetic():
     for n in (2, 3, 7, 12, 97, 720, 1024):
-        r = make_zn(n, cap=n)
+        r = capped(n, make_zn, n)
         idx = np.arange(n, dtype=np.int64)
         assert r.add.dtype == r.mul.dtype == np.int32
         assert np.array_equal(r.add, (idx[:, None] + idx) % n), n
@@ -73,7 +74,7 @@ def test_zn_build_peak_memory():
     # regular-element scans peak near 10.3*n^2, whole n x n verification
     # slices near 17*n^2
     n = 720
-    peak = _build_peak(lambda: make_zn(n, cap=n))
+    peak = _build_peak(lambda: capped(n, make_zn, n))
     assert peak <= 9.5 * n * n, peak
 
 
@@ -94,9 +95,9 @@ def test_twin_build_peak_memory():
     # blocks of rows, near 8.1*n^2 bytes with its own two int32 tables;
     # whole n x n comparisons peak near 9*n^2
     n = 720
-    live = make_zn(n, cap=n)
+    live = capped(n, make_zn, n)
     twins = []
-    peak = _build_peak(lambda: twins.append(make_zn(n, cap=n)))
+    peak = _build_peak(lambda: twins.append(capped(n, make_zn, n)))
     assert twins[0].mul is live.mul
     assert peak <= 8.5 * n * n, peak
 
@@ -106,7 +107,7 @@ def test_idealization_build_peak_memory():
     base = make_zn(64)
     j = ideal_gen(base, [4])
     n = 64 * 4                           # Z64 (+) Z64/(4)
-    peak = _build_peak(lambda: make_idealization(base, j, cap=n))
+    peak = _build_peak(lambda: capped(n, make_idealization, base, j))
     assert peak <= 20 * n * n, peak
 
 
@@ -114,7 +115,7 @@ def test_local_algebra_build_peak_memory():
     # one n x n broadcast sum per table peaks near 17*n^2 bytes, int64
     # digit arithmetic near 41*n^2
     n = 7 ** 3
-    peak = _build_peak(lambda: make_local_algebra(7, cap=n))
+    peak = _build_peak(lambda: capped(n, make_local_algebra, 7))
     assert peak <= 20 * n * n, peak
 
 
@@ -146,7 +147,7 @@ def _local_algebra_formula(p):
 
 
 def _idealize(base, g):
-    return make_idealization(base, ideal_gen(base, [g]), cap=1024)
+    return capped(1024, make_idealization, base, ideal_gen(base, [g]))
 
 
 def test_idealization_and_local_algebra_tables_equal_the_int64_formula():
@@ -202,7 +203,7 @@ def test_fault_in_a_later_block_is_reported_at_its_first_position():
     a, x = np.argwhere(lhs != rhs)[0]       # the whole-table first mismatch
     assert a >= 91
     with pytest.raises(ValueError) as err:
-        FiniteRing(add, mul, 0, 1, Zn(720), cap=720)
+        capped(720, FiniteRing, add, mul, 0, 1, Zn(720))
     assert str(err.value) == f"* not distributive at ({a}, 1, {x})"
 
 
@@ -374,7 +375,7 @@ def test_product_tables_equal_the_int64_formula():
              (_idealize(make_zn(64), 4), make_zn(3)),
              (z2, make_local_algebra(7)))
     for left, right in pairs:
-        r = make_product(left, right, cap=1024)
+        r = capped(1024, make_product, left, right)
         a, b = np.divmod(np.arange(r.size, dtype=np.int64), right.size)
         for got, t1, t2 in ((r.add, left.add, right.add),
                             (r.mul, left.mul, right.mul)):
@@ -522,8 +523,8 @@ def test_element_cap():
     with pytest.raises(CapExceeded):
         make_zn(2000)
     with pytest.raises(CapExceeded):
-        make_zn(10, cap=5)
-    assert make_zn(10, cap=10).size == 10
+        capped(5, make_zn, 10)
+    assert capped(10, make_zn, 10).size == 10
 
 
 def test_cap_env_override(monkeypatch):

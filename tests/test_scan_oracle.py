@@ -34,6 +34,7 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import capped
 from idealis import (
     FiniteRing,
     Ideal,
@@ -96,7 +97,7 @@ def test_default_corpus_matches_scan_oracle():
           suppress_health_check=[HealthCheck.too_slow])
 @given(EXPRS)
 def test_random_rings_match_scan_oracle(expr):
-    assert_scans_match_oracle(build_ring(expr, cap=MAX_SIZE))
+    assert_scans_match_oracle(capped(MAX_SIZE, build_ring, expr))
 
 
 def relabeled(ring, perm: np.ndarray) -> FiniteRing:
@@ -113,7 +114,7 @@ def relabeled(ring, perm: np.ndarray) -> FiniteRing:
 def test_relabeled_rings_match_oracles(expr, data):
     """Every fast path argues about least elements; a relabeled ring
     moves them, and 0 and 1 with them."""
-    ring = build_ring(expr, cap=MAX_SIZE)
+    ring = capped(MAX_SIZE, build_ring, expr)
     perm = np.array(data.draw(st.permutations(range(ring.size))))
     r = relabeled(ring, perm)
     assert_matches_oracle(r)
@@ -464,7 +465,7 @@ def test_class_triples_count_the_oracle_triple_zeros():
         for p in lat.proper:
             if not is_weakly_one_absorbing_prime(p).holds:
                 continue
-            blocks = list(_triple_zero_blocks(ring, p.mask))
+            blocks = list(_triple_zero_blocks(p))
             triples = np.array(oracle_triple_zeros(p), dtype=np.intp).reshape(-1, 3)
             for j in lat:
                 got = _block_predicates(p, blocks, j)
