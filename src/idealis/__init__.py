@@ -9,7 +9,7 @@ counterexample witnesses, and runs a battery of structural checks
 over corpora of constructed rings.
 """
 
-from __future__ import annotations
+import types as _types
 
 __version__ = "0.1.0"
 
@@ -45,7 +45,6 @@ from .errors import (
     ElementOutOfRange,
     EngineError,
     ImproperIdeal,
-    LatticeCapExceeded,
     NotMultClosed,
     NotPrime,
     NotW1AP,
@@ -103,4 +102,5 @@ from .theorems import (
     zn_classification,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _types.ModuleType))

@@ -42,9 +42,9 @@ over c, packed in little-endian uint64 words: bit z is set when w*z is
 in P, and for the weak search also w*z != 0. A block takes the x rows
 c[s:e] and the y from c[s] on, and its hits are
 bits[x*y] & ~bits[x] & ~bits[y], none where x*y is in P: bit z of the
-pair (x, y) marks a violation (x, y, z). A block holds at most
-_BLOCK_ENTRIES words. The violation is symmetric in x, y and z, so
-sorting one gives one that is lex-smaller or equal: the least has
+pair (x, y) marks a violation (x, y, z). rings._block_rows sizes the
+blocks, as it does every blocked read. The violation is symmetric in x,
+y and z, so sorting one gives one that is lex-smaller or equal: the least has
 x <= y <= z, so it lies in the block of its x, where y >= x >= s. No
 earlier block has a hit, which would be a violation with a smaller x,
 so the least violation is the first row-major hit of the first block
@@ -103,7 +103,7 @@ import numpy as np
 
 from .errors import ImproperIdeal, NotW1AP
 from .ideals import Ideal, all_ideals
-from .rings import _BLOCK_ENTRIES, FiniteRing, _first_hit, coset_least
+from .rings import FiniteRing, _block_rows, _first_hit, _row_blocks, coset_least
 
 
 class Verdict(NamedTuple):
@@ -158,7 +158,7 @@ def _two_absorbing_blocks(ring: FiniteRing, mask: np.ndarray, c: np.ndarray,
     the block's rows c[s:e], ys the candidates c[s:] from its first row
     on, and hit the words of the block: bit l of hit[q, i, j] is set
     when (xs[i], ys[j], c[64*q + l]) is a violation, weak or strict. A
-    block holds at most _BLOCK_ENTRIES words."""
+    row of a block holds words x len(ys) words; _block_rows sizes it."""
     prods = ring.mul[:, c]             # [w, z] = w*z
     in_p = mask[prods]
     bits = _words(in_p)                # bit z of w: w*z in P
@@ -169,7 +169,7 @@ def _two_absorbing_blocks(ring: FiniteRing, mask: np.ndarray, c: np.ndarray,
     words, k = out.shape
     s = 0
     while s < k:
-        e = min(k, s + max(1, _BLOCK_ENTRIES // ((k - s) * words)))
+        e = min(k, s + _block_rows((k - s) * words))
         hit = bits[:, cc[s:e, s:]]
         hit &= out[:, s:e, None]
         hit &= out[:, None, s:]
@@ -217,13 +217,13 @@ def _triple_zero_rows(p: Ideal) -> np.ndarray | None:
 def _triple_zero_blocks(p: Ideal):
     """(xs, cube) per block of x classes: xs the slice of the block's
     classes and cube[i, b, c] set when the classes xs[i], b and c are a
-    class triple of 1-triple zeros. A block holds at most _BLOCK_ENTRIES
-    entries, or one class; there is none when the table has no hit."""
+    class triple of 1-triple zeros. An x class is a row of ab.size
+    entries, blocked by _row_blocks; there is none when the table has no
+    hit."""
     of_w = _triple_zero_rows(p)
     ab = p.ring.nonunit_classes.ab
-    step = max(1, _BLOCK_ENTRIES // ab.size)
-    for s in range(0, 0 if of_w is None else len(ab), step):
-        yield slice(s, s + step), of_w[ab[s:s + step]]
+    for xs in _row_blocks(0 if of_w is None else len(ab), ab.size):
+        yield xs, of_w[ab[xs]]
 
 
 def _scan_prime(ring: FiniteRing, mask: np.ndarray):

@@ -21,7 +21,7 @@ import sys
 from . import __version__
 from .classify import VERDICT_KEYS, classify, witness_violates
 from .dsl import _Parser, build_ring_text, ideal_text, parse_ideal, parse_ring
-from .errors import CapExceeded, EngineError, LatticeCapExceeded, ParseError
+from .errors import CapExceeded, EngineError, ParseError
 from .ideals import Ideal, all_ideals
 from .rings import DEFAULT_ELEMENT_CAP, FiniteRing, make_product, make_zn
 from .theorems import (
@@ -342,7 +342,7 @@ def _cmd_search(args) -> int:
 
 
 _CAP_NOTE = (f"IDEALIS_CAP=N (default {DEFAULT_ELEMENT_CAP}) bounds rings at N elements "
-             "and ideal lattices at max(|A|, N) ideals; exceeding either exits 3.")
+             "and ideal lattices at N ideals; exceeding either exits 3.")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -394,7 +394,7 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except (CapExceeded, LatticeCapExceeded, MemoryError) as err:  # overload
+    except (CapExceeded, MemoryError) as err:  # overload
         print(f"error: {str(err) or 'out of memory'}", file=sys.stderr)
         return 3
     except (EngineError, ValueError, OSError) as err:

@@ -8,11 +8,7 @@ class EngineError(Exception):
 
 
 class CapExceeded(EngineError):
-    """A ring construction would exceed the element cap."""
-
-
-class LatticeCapExceeded(EngineError):
-    """Ideal lattice enumeration would exceed the lattice cap."""
+    """A ring's elements or its lattice's ideals would exceed IDEALIS_CAP."""
 
 
 class NotMultClosed(EngineError):

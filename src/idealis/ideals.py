@@ -21,8 +21,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import LatticeCapExceeded, RingMismatch
-from .rings import FiniteRing, Homomorphism, _as_int32, element_cap
+from .errors import RingMismatch
+from .rings import FiniteRing, Homomorphism, _as_int32, _check_cap
 
 
 class Ideal:
@@ -32,8 +32,8 @@ class Ideal:
         ring: the FiniteRing the ideal lives in.
         mask: read-only boolean array of shape (n,), True at the members.
         elements: the members' ascending indices as a tuple, read from mask.
-        given_generators: generators a construction proved, or None.
-        generators (cached): given_generators or reduced_generators(ring, elements).
+        generators (cached): the presentation a construction proved, set
+            by it, else reduced_generators(ring, elements).
     """
 
     def __init__(self, ring: FiniteRing, elements: Sequence[int]):
@@ -47,24 +47,25 @@ class Ideal:
         if not mask[ring.mul[:, arr]].all():
             raise ValueError("set not closed under ring multiplication")
         mask.setflags(write=False)
-        self.ring, self.mask, self.given_generators = ring, mask, None
+        self.ring, self.mask = ring, mask
         self.elements = tuple(arr.tolist())
 
     @classmethod
     def _trusted(cls, ring: FiniteRing, mask: np.ndarray,
                  generators: tuple[int, ...] | None = None) -> Ideal:
         """Unchecked: the caller proves the boolean mask of shape (n,) an
-        ideal's and hands it over, so it is made read-only, not copied."""
+        ideal's and hands it over, so it is made read-only, not copied;
+        proved generators preset the cached generators."""
         ideal = cls.__new__(cls)
         mask.setflags(write=False)
-        ideal.ring, ideal.mask, ideal.given_generators = ring, mask, generators
+        ideal.ring, ideal.mask = ring, mask
         ideal.elements = tuple(np.flatnonzero(mask).tolist())
+        if generators is not None:
+            ideal.generators = generators
         return ideal
 
     @cached_property
     def generators(self) -> tuple[int, ...]:
-        if self.given_generators is not None:
-            return self.given_generators
         return reduced_generators(self.ring, self.elements)
 
     @property
@@ -198,8 +199,9 @@ class IdealLattice:
     @cached_property
     def covers(self) -> list[tuple[int, int]]:
         """Covering pairs (i, j): i < j with nothing strictly between, in
-        row-major order. (s @ s)[i, j] counts the members between, at most
-        k <= max(n, element_cap()) < 2^24, so the float32 product is exact."""
+        row-major order. (s @ s)[i, j] counts the members between, below k
+        <= IDEALIS_CAP. float32 holds every integer up to 2^24, and a k of
+        2^24 would need 2^48 bytes for le alone, so the product is exact."""
         strict = self.le & ~np.eye(len(self.ideals), dtype=bool)
         s = strict.astype(np.float32)
         return [(int(i), int(j)) for i, j in np.argwhere(strict & (s @ s == 0))]
@@ -269,7 +271,7 @@ def _primitive_idempotents(ring: FiniteRing) -> np.ndarray:
     return idem[below.sum(axis=1) == 1]
 
 
-def _principal_closure(ring: FiniteRing, seeds: np.ndarray, cap: int,
+def _principal_closure(ring: FiniteRing, seeds: np.ndarray,
                        ) -> list[tuple[np.ndarray, tuple[int, ...]]]:
     """(mask, generators) of every ideal that is a sum of principal
     ideals (a), a in the ascending seeds.
@@ -299,9 +301,7 @@ def _principal_closure(ring: FiniteRing, seeds: np.ndarray, cap: int,
             s[rows[:, parrs[b]]] = True
             key = s.tobytes()
             if key not in found:
-                if len(found) >= cap:
-                    raise LatticeCapExceeded(f"more than {cap} ideals in {ring.text}, "
-                                             "the bound max(|A|, IDEALIS_CAP)")
+                _check_cap(len(found) + 1, f"the lattice of {ring.text}", "ideals or more")
                 found[key] = (s, gens + (pgens[b],))
                 worklist.append(found[key])
     return list(found.values())
@@ -323,9 +323,9 @@ def all_ideals(ring: FiniteRing) -> IdealLattice:
     the closure records the least generator of each proper (a), the
     least member of its class, as a seeding by every a would.
 
-    A lattice holds at most max(|A|, element_cap()) members, so its k x k
-    tables are no larger than the n x n tables the element cap admits. A
-    ring has at most |A| principal ideals, so the cap is checked only as
+    A lattice holds k <= IDEALIS_CAP members, so its k x k tables are no
+    larger than the n x n tables the cap admits. The lattice has at least
+    as many members as each local closure finds, so the cap is checked as
     a closure finds a sum, and on the product of the local sizes before
     any member mask is built.
 
@@ -344,16 +344,13 @@ def all_ideals(ring: FiniteRing) -> IdealLattice:
     if ring._lattice is not None:
         return ring._lattice
     n, reps = ring.size, ring.nonunit_classes.reps
-    cap = max(n, element_cap())
     parts = []
     for e in _primitive_idempotents(ring):
         seeds = reps[ring.mul[reps, e] == reps]         # a*e = a: a in A*e
         if e == ring.one:
             seeds = np.union1d(seeds, [ring.one])
-        parts.append((e, _principal_closure(ring, seeds, cap)))
-    if math.prod(len(local) for _, local in parts) > cap:
-        raise LatticeCapExceeded(f"more than {cap} ideals in {ring.text}, "
-                                 "the bound max(|A|, IDEALIS_CAP)")
+        parts.append((e, _principal_closure(ring, seeds)))
+    _check_cap(math.prod(len(p) for _, p in parts), f"the lattice of {ring.text}", "ideals")
     masks = np.ones((1, n), dtype=bool)
     spanning: list[tuple[int, ...]] = [()]
     for e, local in parts:

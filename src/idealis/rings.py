@@ -43,8 +43,10 @@ any ring built with them. A ring reads each fact through a read-only
 property of its record, and every array there is read-only, so neither
 the tables nor the unit data can be rebound or written.
 
-Ring sizes have one bound, element_cap(), read from IDEALIS_CAP; each
-constructor that grows a ring checks it before it allocates a table.
+Every bound lives here. element_cap(), read from IDEALIS_CAP, bounds a
+ring's elements and its lattice's ideals, and _check_cap alone refuses
+either, before a table of the ring or the lattice is allocated.
+_BLOCK_ENTRIES sizes every blocked read, through _block_rows.
 """
 
 from __future__ import annotations
@@ -109,10 +111,10 @@ def element_cap() -> int:
     return int(raw)
 
 
-def _check_cap(n: int) -> None:
-    """Refuse a ring of n elements above element_cap()."""
-    if n > (limit := element_cap()):
-        raise CapExceeded(f"ring would have {n} elements, cap is {limit} (IDEALIS_CAP)")
+def _check_cap(count: int, owner: str = "ring", unit: str = "elements") -> None:
+    """Refuse count elements of a ring, or ideals of a lattice, above element_cap()."""
+    if count > (limit := element_cap()):
+        raise CapExceeded(f"{owner} would have {count} {unit}, cap is {limit} (IDEALIS_CAP)")
 
 
 class FiniteRing:
@@ -333,16 +335,20 @@ def _as_int32(a, size: int, what: str) -> np.ndarray:
     return np.ascontiguousarray(a, dtype=np.int32)
 
 
-def _row_blocks(n: int):
-    """Slices of whole rows of an n x n table, each of at most
-    _BLOCK_ENTRIES entries."""
-    step = max(1, _BLOCK_ENTRIES // n)
-    return (slice(start, start + step) for start in range(0, n, step))
+def _block_rows(width: int) -> int:
+    """Rows of width entries per block: _BLOCK_ENTRIES // width, at least 1."""
+    return max(1, _BLOCK_ENTRIES // width)
+
+
+def _row_blocks(rows: int, width: int):
+    """Slices of whole rows, _block_rows(width) each, of a rows x width table."""
+    step = _block_rows(width)
+    return (slice(start, start + step) for start in range(0, rows, step))
 
 
 def _per_row(n: int, f) -> np.ndarray:
     """The n values f(rows) gives, one per row, built one block at a time."""
-    return np.concatenate([f(rows) for rows in _row_blocks(n)])
+    return np.concatenate([f(rows) for rows in _row_blocks(n, n)])
 
 
 def _first_hit(viol: np.ndarray) -> tuple[int, int] | None:
@@ -357,7 +363,7 @@ def _first_mismatch(n: int, lhs, rhs) -> tuple[int, int] | None:
     """First row-major (row, column) where the n x n tables lhs and rhs
     differ, or None. lhs(rows) and rhs(rows) build one block of rows at a
     time."""
-    for rows in _row_blocks(n):
+    for rows in _row_blocks(n, n):
         hit = _first_hit(lhs(rows) != rhs(rows))
         if hit is not None:
             return rows.start + hit[0], hit[1]

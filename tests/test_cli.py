@@ -139,7 +139,7 @@ def test_memory_error_exits_3(capsys, monkeypatch, tmp_path, message, line):
 
 
 def _cli(*args: str, env: dict | None = None, **kwargs) -> subprocess.CompletedProcess:
-    """The CLI in a subprocess at the default caps, on this checkout's
+    """The CLI in a subprocess at the default cap, on this checkout's
     source, with env added to the environment."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -152,15 +152,15 @@ def _cli(*args: str, env: dict | None = None, **kwargs) -> subprocess.CompletedP
 def test_lattice_cap_exits_3_quickly():
     # LocalAlg(2) idealized five times by its maximal ideal: 256 elements
     # and 29213 ideals, above the 1024 a lattice may hold at the default
-    # caps
+    # cap
     ring = make_local_algebra(2)
     for _ in range(5):
         ring = make_idealization(ring, Ideal(ring, ring.nonunits))
     start = time.monotonic()
     proc = _cli("classify", ring.text)
     assert proc.returncode == 3 and proc.stdout == ""
-    assert "more than 1024 ideals" in proc.stderr
-    assert proc.stderr.rstrip().endswith("max(|A|, IDEALIS_CAP)")
+    assert proc.stderr == (f"error: the lattice of {ring.text} would have 1025 ideals "
+                           "or more, cap is 1024 (IDEALIS_CAP)\n")
     assert time.monotonic() - start < 5
 
 
@@ -218,7 +218,7 @@ def test_every_command_documents_cap(capsys, command):
             main(argv)
         help_text = " ".join(capsys.readouterr().out.split())
         assert ("IDEALIS_CAP=N (default 1024) bounds rings at N elements and "
-                "ideal lattices at max(|A|, N) ideals; exceeding either exits 3"
+                "ideal lattices at N ideals; exceeding either exits 3"
                 ) in help_text
 
 

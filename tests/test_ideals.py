@@ -5,13 +5,14 @@ exactly the (d) for divisors d of n, so lattice size equals the divisor
 count and containment mirrors divisibility.
 """
 
+import re
 import tracemalloc
 
 import pytest
 
 from idealis import (
+    CapExceeded,
     Ideal,
-    LatticeCapExceeded,
     all_ideals,
     annihilator,
     annihilator_ideal,
@@ -193,13 +194,15 @@ def _idealized_by_maximal(times: int):
 
 
 def test_lattice_cap(monkeypatch):
-    # a lattice holds at most max(|A|, element_cap()) members: 17 ideals
-    # of 16 elements, and 68 of 32
+    # a lattice holds at most IDEALIS_CAP members, as a ring holds at most
+    # IDEALIS_CAP elements: 17 ideals of 16 elements, and 68 of 32
     for times, size, count in ((1, 16, 17), (2, 32, 68)):
         monkeypatch.setenv("IDEALIS_CAP", str(count - 1))
         ring = _idealized_by_maximal(times)
         assert ring.size == size
-        with pytest.raises(LatticeCapExceeded, match=f"more than {count - 1} ideals"):
+        with pytest.raises(CapExceeded, match=rf"^the lattice of {re.escape(ring.text)} "
+                           rf"would have {count} ideals or more, cap is {count - 1} "
+                           r"\(IDEALIS_CAP\)$"):
             all_ideals(ring)
         monkeypatch.setenv("IDEALIS_CAP", str(count))
         assert len(all_ideals(ring)) == count
@@ -211,11 +214,12 @@ def test_lattice_cap_on_the_product_of_local_lattices(monkeypatch):
     monkeypatch.setenv("IDEALIS_CAP", "288")
     local = _idealized_by_maximal(1)
     ring = make_product(local, local)
-    with pytest.raises(LatticeCapExceeded, match="more than 288 ideals"):
+    with pytest.raises(CapExceeded, match=r"would have 289 ideals, cap is 288 \(IDEALIS_CAP\)$"):
         all_ideals(ring)
     monkeypatch.setenv("IDEALIS_CAP", "16")
-    with pytest.raises(LatticeCapExceeded, match="more than 256 ideals"):
-        all_ideals(ring)                # the ring's own size bounds it too
+    # the first local closure finds 17 ideals, above the cap of 16
+    with pytest.raises(CapExceeded, match=r"17 ideals or more, cap is 16 \(IDEALIS_CAP\)$"):
+        all_ideals(ring)
     monkeypatch.setenv("IDEALIS_CAP", "289")
     assert len(all_ideals(ring)) == 289
 

@@ -195,7 +195,7 @@ def test_fault_in_a_later_block_is_reported_at_its_first_position():
     n = 720
     r = make_zn(n)
     mul = np.array(r.mul)
-    assert mul[100, 200] != 7 and rings._BLOCK_ENTRIES // n <= 100
+    assert mul[100, 200] != 7 and rings._block_rows(n) <= 100
     mul[100, 200] = mul[200, 100] = 7
     add = np.array(r.add)
     assert rings.additive_generators(add, 0) == [1]

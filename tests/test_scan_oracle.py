@@ -31,6 +31,7 @@ import importlib
 from itertools import chain
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -292,7 +293,7 @@ def test_two_absorbing_blocks_at_a_small_budget(monkeypatch):
     is only the x: a scan that marked only the y axis of its blocks loses
     that orbit, and with it the weak witness of (0, 30) in Z2 x Z30."""
     scans = importlib.import_module("idealis.classify")
-    monkeypatch.setattr(scans, "_BLOCK_ENTRIES", 8)
+    monkeypatch.setattr(importlib.import_module("idealis.rings"), "_BLOCK_ENTRIES", 8)
     blocks = scans._two_absorbing_blocks
     rows = []
 
@@ -497,9 +498,54 @@ def test_triple_zero_checks_at_a_small_budget(monkeypatch):
     assert all(c.tested > 0 for c in want)
     assert max(map(len, calls)) == 1
     calls.clear()
-    monkeypatch.setattr(scans, "_BLOCK_ENTRIES", 1)
+    monkeypatch.setattr(importlib.import_module("idealis.rings"), "_BLOCK_ENTRIES", 1)
     assert [theorems.CHECKS[name](rings) for name in names] == want
     assert max(map(len, calls)) > 1 and {n for c in calls for n in c} == {1}
+
+
+def test_every_blocked_read_follows_the_one_budget(monkeypatch):
+    """The block budget lives in rings alone. Patched to one entry there,
+    table verification, the 2-absorbing scan and the triple-zero cube
+    each read more than one block per call, where each reads one at the
+    default budget on Z4 x Z8, and each gives the same results: the
+    proved record, the first fault of a damaged table, the witnesses and
+    the cube."""
+    rings = importlib.import_module("idealis.rings")
+    scans = importlib.import_module("idealis.classify")
+    ring = build_ring_text("Z4 x Z8")
+    bad = np.array(ring.mul)
+    bad[30, 29] = bad[29, 30] = (bad[30, 29] + 1) % ring.size
+    reads = {"verify": [], "two": [], "cube": []}
+
+    def counted(kind, blocks):
+        def wrapped(*args):
+            reads[kind].append(0)
+            for block in blocks(*args):
+                reads[kind][-1] += 1
+                yield block
+        return wrapped
+    monkeypatch.setattr(rings, "_row_blocks", counted("verify", rings._row_blocks))
+    monkeypatch.setattr(scans, "_two_absorbing_blocks",
+                        counted("two", scans._two_absorbing_blocks))
+
+    def results():
+        proven = rings._verify_ring(ring.add, ring.mul, ring.zero, ring.one)
+        with pytest.raises(ValueError) as fault:
+            rings._verify_ring(ring.add, bad, ring.zero, ring.one)
+        out = [proven.generators.tolist(), proven.unit_mask.tolist(), str(fault.value)]
+        for p in all_ideals(ring).proper:
+            cubes = [cube for _, cube in _triple_zero_blocks(p)]
+            reads["cube"].append(len(cubes))
+            out += [_scan_two_absorbing(ring, p.mask),
+                    np.concatenate(cubes).tolist() if cubes else None]
+        return out
+    want = results()
+    assert {kind: max(n) for kind, n in reads.items()} == {"verify": 1, "two": 1, "cube": 1}
+    for n in reads.values():
+        n.clear()
+    monkeypatch.setattr(rings, "_BLOCK_ENTRIES", 1)
+    assert results() == want
+    assert all(max(n) > 1 for n in reads.values()), reads
 
 
 def test_one_absorbing_table_cells_on_large_rings(monkeypatch):
