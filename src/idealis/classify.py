@@ -90,6 +90,12 @@ product lies in an ideal, which no unit changes. Under damaged unit data the dec
 units are true units, so each class lies in a true associate class whose
 least member is a rep, and every rep is a declared nonunit: all of this,
 and the prime plane, holds.
+
+tmm_characterize decides its colon and ideal-product conditions for an
+array of lattice members at once, in _tmm_conditions: (ii) as sets, on
+blocks of members that rings._row_blocks sizes, and (iii) to (vi) as
+gathers of the lattice's colon table, containment matrix and product
+table. The colon check in theorems calls it once per ring.
 """
 
 from __future__ import annotations
@@ -102,7 +108,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ImproperIdeal, NotW1AP
-from .ideals import Ideal, all_ideals
+from .ideals import Ideal, IdealLattice, all_ideals
 from .rings import FiniteRing, _block_rows, _first_hit, _row_blocks, coset_least
 
 
@@ -401,18 +407,52 @@ def find_one_triple_zeros(p: Ideal) -> Iterator[tuple[int, int, int]]:
 # independent characterization of the weakly 1-absorbing prime property
 
 
-def _lattice_condition(pt: np.ndarray, le_p: np.ndarray, s: np.ndarray) -> bool:
-    """For each lattice member L in s and each proper ideal J:
-    0 != L*J within P implies L within P or J within P. pt is the
-    product table and le_p the column of le for P."""
-    kp = len(pt) - 1
-    lj = pt[s, :kp]
-    viol = (lj != 0) & le_p[lj] & ~le_p[s, None] & ~le_p[None, :kp]
-    return not viol.any()
+def _absorbs(lat: IdealLattice, ps: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """For each member P in ps, whether for each member L in s and each
+    proper ideal J: 0 != L*J within P implies L within P or J within P.
+
+    For L outside P, such a J exists exactly when (P : L) lies outside
+    P and L*(P : L) != 0: L*J in P puts J inside (P : L), so L*(P : L)
+    holds L*J != 0, and J = (P : L) is one, proper because L is outside
+    P. So each (L, P) is three gathers, of le, colon and product_table."""
+    at = ps[:, None]
+    c = lat.colon[at, s]                            # [p, l]: (P : L)
+    viol = ~lat.le[s, at] & ~lat.le[c, at]
+    viol &= lat.product_table[s, c] != 0
+    return ~viol.any(axis=1)
+
+
+def _tmm_conditions(lat: IdealLattice, ps: np.ndarray) -> Iterator[dict[str, bool]]:
+    """The six conditions of tmm_characterize for each proper member P
+    in ps, in order. (ii) reads the rows (P : w) of a block of members
+    at once, |ws| x n entries per member, blocked by _row_blocks; each
+    other condition reads lattice tables. np.take gathers along the
+    element axis about 3x faster than m[:, wz] does on Z2^10."""
+    ring, cl = lat.ring, lat.ring.nonunit_classes
+    # the scans, the member sets and colon come before wz, so that the
+    # peaks of their builds do not add to it
+    w1ap = [is_weakly_one_absorbing_prime(lat[p]).holds for p in ps.tolist()]
+    pw = lat.principal_products                     # the (w)
+    sets = pw, lat.rep_multiples, lat.proper_products
+    ann_pw = lat.colon[0, pw]                       # the (0 : (w))
+    wz = ring.mul[cl.ws].astype(np.intp)            # [w, a] = w*a
+    ann = wz == ring.zero                           # (0 : w)
+    for rows in _row_blocks(len(ps), wz.size):
+        b, m = ps[rows], lat.masks[ps[rows]]
+        col = np.take(m, wz, axis=1)                # [p, w, a]: a*w in P
+        col ^= m[:, None] | ann                     # not in P union (0 : w)
+        ii = ~(col.any(axis=2) & ~m[:, cl.ws]).any(axis=1)     # for w outside P
+        at = b[:, None]
+        c = lat.colon[at, pw]                       # (P : w) = (P : (w))
+        iii = ((c == at) | (c == ann_pw) | lat.le[pw, at]).all(axis=1)
+        iv, v, vi = (_absorbs(lat, b, s) for s in sets)
+        for j, i in enumerate(w1ap[rows]):
+            yield {"i": i, "ii": bool(ii[j]), "iii": bool(iii[j]), "iv": bool(iv[j]),
+                   "v": bool(v[j]), "vi": bool(vi[j])}
 
 
 def tmm_characterize(p: Ideal) -> dict[str, bool]:
-    """Six equivalent conditions, each decided by its own scan.
+    """Six equivalent conditions, each decided on its own.
 
     (i)   P is weakly 1-absorbing prime (definitional scan);
     (ii)  for nonunits x, y with x*y not in P:
@@ -426,33 +466,20 @@ def tmm_characterize(p: Ideal) -> dict[str, bool]:
           0 != IJK within P implies IJ within P or K within P.
 
     No unit changes a condition, so the class reps and their products
-    stand for x, y and w = x*y. (iv) to (vi) are one condition,
-    _lattice_condition, over three sets of lattice members L, exactly:
-    x*I = {x*i} is the ideal (x)I, (xy) = (x)(y) lies in P iff xy does,
-    and (vi) sees I and J only through IJ. So (iv) runs over the (w) for
-    the rep products w outside P, (v) over the (x)I and (vi) over the
-    IJ. (a) is the first member that holds a: members are sorted by
-    size, and (a) lies in every ideal that holds a. The (a) and the sets
-    of (v) and (vi) do not depend on P, so the lattice keeps them. The
+    stand for x, y and w = x*y. (ii) is checked literally, as sets, on
+    the row of each w. (iii) to (vi) are read from the lattice's colon
+    table. (P : w) = (P : (w)) and (0 : w) = (0 : (w)) are members, so
+    (iii) compares member indices. (iv) to (vi) are one condition,
+    _absorbs, over three sets of lattice members L, exactly: x*I =
+    {x*i} is the ideal (x)I, (xy) = (x)(y) lies in P iff xy does, and
+    (vi) sees I and J only through IJ. So (iv) runs over the (w) for
+    the rep products w, where those inside P hold at once, (v) over the
+    (x)I and (vi) over the IJ. (a) is the first member that holds a:
+    members are sorted by size, and (a) lies in every ideal that holds
+    a. None of the sets depends on P, so the lattice keeps them. The
     sets index the whole product table: under damaged unit data a
     declared nonunit can be a unit, with (x) the whole ring.
     """
     _require_proper(p)
-    ring, mask = p.ring, p.mask
-    out = {"i": is_weakly_one_absorbing_prime(p).holds}
-
-    # (P : w) and (0 : w) for every w = x*y outside P, one row each
-    cl = ring.nonunit_classes
-    wz = ring.mul[cl.ws[~mask[cl.ws]]]
-    col, ann = mask[wz], wz == ring.zero
-    out["ii"] = bool((col == (mask | ann)).all())
-    out["iii"] = bool(((col == mask).all(axis=1)
-                       | (col == ann).all(axis=1)).all())
-
-    lat = all_ideals(ring)
-    pt, le_p = lat.product_table, lat.le[:, lat.index(p)]
-    xy = lat.principal[cl.ws[~mask[cl.ws]]]         # (x)(y) = (xy), xy outside P
-    out["iv"] = _lattice_condition(pt, le_p, np.unique(xy))
-    out["v"] = _lattice_condition(pt, le_p, lat.rep_multiples)
-    out["vi"] = _lattice_condition(pt, le_p, lat.proper_products)
-    return out
+    lat = all_ideals(p.ring)
+    return next(_tmm_conditions(lat, np.array([lat.index(p)])))

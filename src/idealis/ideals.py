@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import RingMismatch
-from .rings import FiniteRing, Homomorphism, _as_int32, _check_cap
+from .rings import FiniteRing, Homomorphism, _as_int32, _check_cap, _row_blocks
 
 
 class Ideal:
@@ -164,9 +164,10 @@ class IdealLattice:
             recorded by the enumeration, padded with 0, which every ideal
             holds; it need not be the presentation ideals[i].generators.
         index_of: each member's lattice index, keyed by its elements.
-        le, covers, maximal_indices, product_table (cached): see each.
-        principal, rep_multiples, proper_products (cached): members
-            that tmm_characterize reads; see each.
+        le, covers, maximal_indices, product_table, colon (cached): see each.
+        principal, principal_products (cached): see each.
+        rep_multiples, proper_products (cached): see each; these and
+            principal_products are the members tmm_characterize reads.
     """
 
     def __init__(self, ring: FiniteRing, masks: np.ndarray, spanning: np.ndarray):
@@ -215,22 +216,44 @@ class IdealLattice:
     def product_table(self) -> np.ndarray:
         """product_table[i, j] = lattice index of ideal_i * ideal_j.
 
-        IJ is contained in Q iff J is contained in (Q : I), and IJ, a
-        subset of I, comes no later than I in the size order. So the
-        product is the first Q <= i with J inside (Q : I), found for
-        every j >= i at once. (Q : I) is the intersection of (Q : g)
-        over the generators g in spanning[i]; it is an ideal, so it
-        holds J iff it holds every generator in spanning[j].
+        IJ is contained in Q iff J is contained in (Q : I), and IJ is the
+        first member that holds IJ, since members are sorted by size. IJ,
+        a subset of I and of J, comes no later than either. So a block of
+        rows I, i < e, reads the Q up to e - 1 and the J from its first
+        row s on, finding each product as the first such Q; the entries
+        with j < i are products too, and the table is symmetric. (Q : I)
+        is the intersection of (Q : g) over the generators g in
+        spanning[i]; it is an ideal, so it holds J iff it holds every
+        generator in spanning[j]. A row of a block is k x n entries of
+        the (Q : I) masks; _row_blocks sizes the blocks.
         """
         masks, spanning, mul = self.masks, self.spanning, self.ring.mul
-        out = np.zeros((len(masks),) * 2, dtype=np.int32)
-        for i, gens in enumerate(spanning):
-            quot = np.ones_like(masks[:i + 1])
-            for g in gens:
-                quot &= masks[:i + 1, mul[:, g]]
-            first = quot[:, spanning[i:]].all(axis=2).argmax(axis=0)
-            out[i, i:] = first
-            out[i:, i] = first
+        k, n = masks.shape
+        out = np.zeros((k, k), dtype=np.int32)
+        for rows in _row_blocks(k, k * n):
+            s, e = rows.start, min(rows.stop, k)
+            quot = np.ones((e, e - s, n), dtype=bool)       # [q, i, a]: aI in Q
+            for gens in spanning[rows].T:
+                quot &= np.take(masks[:e], mul[gens].astype(np.intp), axis=1)
+            first = quot[:, :, spanning[s:]].all(axis=3).argmax(axis=0)
+            out[rows, s:] = first
+            out[s:, rows] = first.T
+        return out
+
+    @cached_property
+    def colon(self) -> np.ndarray:
+        """colon[q, i] = lattice index of (Q : I), the largest J with IJ
+        in Q. Every other J with IJ in Q lies inside it, and so is
+        smaller and sorts earlier: (Q : I) is the last j with
+        le[product_table[i, j], q]. A row I of a block is the k x k
+        slice of le that product_table[i] picks; _row_blocks sizes the
+        blocks."""
+        le, pt = self.le, self.product_table
+        k = len(le)
+        out = np.empty((k, k), dtype=np.int32)
+        for rows in _row_blocks(k, k * k):
+            inside = le[pt[rows, ::-1]]                 # [i, k-1-j, q]: IJ in Q
+            out[:, rows] = (k - 1 - inside.argmax(axis=1)).T
         return out
 
     @cached_property
@@ -239,15 +262,27 @@ class IdealLattice:
         return self.masks.argmax(axis=0)
 
     @cached_property
+    def principal_products(self) -> np.ndarray:
+        """The distinct indices of the (x)(y) = (xy), x and y class reps."""
+        return self._distinct(self.principal[self.ring.nonunit_classes.ws])
+
+    @cached_property
     def rep_multiples(self) -> np.ndarray:
         """The distinct indices of the (x)I, x a class rep, I proper."""
         px = self.principal[self.ring.nonunit_classes.reps]
-        return np.unique(self.product_table[px, :-1])
+        return self._distinct(self.product_table[px, :-1])
 
     @cached_property
     def proper_products(self) -> np.ndarray:
         """The distinct indices of the IJ, I and J proper."""
-        return np.unique(self.product_table[:-1, :-1])
+        return self._distinct(self.product_table[:-1, :-1])
+
+    def _distinct(self, indices: np.ndarray) -> np.ndarray:
+        """The distinct member indices among indices, ascending: one
+        boolean per member, where np.unique would sort them all."""
+        seen = np.zeros(len(self.ideals), dtype=bool)
+        seen[indices] = True
+        return np.flatnonzero(seen)
 
     def index(self, ideal: Ideal) -> int:
         return self.index_of[ideal.elements]

@@ -28,18 +28,17 @@ import numpy as np
 
 from . import expr as ex
 from .classify import (
+    _tmm_conditions,
     _triple_zero_blocks,
     is_one_absorbing_prime,
     is_prime,
     is_weakly_one_absorbing_prime,
     is_weakly_prime,
-    tmm_characterize,
 )
 from .dsl import build_ring, ideal_text
 from .ideals import (
     Ideal,
     all_ideals,
-    annihilator_ideal,
     image_ideal,
     is_field,
     is_quasi_local,
@@ -319,10 +318,12 @@ def _disagreement(verdicts: dict[str, bool], what: str) -> str | None:
 
 def check_colon_characterization(rings: list[FiniteRing]) -> Instances:
     """The six colon/ideal-product conditions agree with the definitional
-    scan on every proper ideal."""
+    scan on every proper ideal, decided for the whole lattice at once."""
     for r in rings:
-        for p in all_ideals(r).proper:
-            yield r, p, _disagreement(tmm_characterize(p), "conditions disagree")
+        lat = all_ideals(r)
+        conditions = _tmm_conditions(lat, np.arange(len(lat) - 1))
+        for p, conds in zip(lat.proper, conditions):
+            yield r, p, _disagreement(conds, "conditions disagree")
 
 
 def check_triple_zero_annihilation(rings: list[FiniteRing]) -> Instances:
@@ -330,7 +331,8 @@ def check_triple_zero_annihilation(rings: list[FiniteRing]) -> Instances:
     satisfies xyP = 0; triples with x, y outside (P : z) additionally
     force xzP = yzP = xP^2 = yP^2 = zP^2 = 0 and P^3 = 0. The ideals
     with no 1-triple zero, the 1-absorbing prime ones, are vacuous.
-    Class triples (see classify) stand for, and count, their members."""
+    Class triples (see classify) stand for, and count, their members.
+    (0 : P) and (0 : P^2) are read from the lattice's colon table."""
     triples_seen = 0
     for r in rings:
         cl, lat = r.nonunit_classes, all_ideals(r)
@@ -342,8 +344,9 @@ def check_triple_zero_annihilation(rings: list[FiniteRing]) -> Instances:
                 yield VACUOUS
                 continue
             p2, in_p = pt[pi, pi], p.mask[cl.ab]
-            out_p = ~annihilator_ideal(p).mask[cl.ab]           # w*P != 0
-            out_p2 = ~annihilator_ideal(lat[p2]).mask[cl.reps]  # x*P^2 != 0
+            ann = lat.colon[0]
+            out_p = ~lat.masks[ann[pi], cl.ab]          # w*P != 0
+            out_p2 = ~lat.masks[ann[p2], cl.reps]       # x*P^2 != 0
             xy = qual = strong = False
             for xs, cube in _triple_zero_blocks(p):
                 triples_seen += int(sizes[xs] @ (cube @ sizes) @ sizes)
@@ -470,13 +473,13 @@ def check_jacobson_dichotomy(rings: list[FiniteRing]) -> Instances:
         lat = all_ideals(r)
         jac = jacobson_radical(r)
         ji = lat.index(jac)
-        jac2 = lat[lat.product_table[ji, ji]]
-        ok = jac2.is_zero
+        jac2 = lat.product_table[ji, ji]
+        ok = jac2 == 0
         if not ok:
             prods = r.mul[np.ix_(jac.mask, jac.mask)]
             nonzero = np.unique(prods[prods != r.zero])
             ok = (((r.mul[nonzero] == r.zero) == jac.mask).all()      # (0 : xy)
-                  and annihilator_ideal(jac2).elements == jac.elements)
+                  and lat.colon[0, jac2] == ji)
         yield r, jac, (None if ok else
                        "Jac^2 nonzero and the annihilator alternative fails")
 

@@ -4,11 +4,13 @@ Each function follows the definition as directly as it can: the lattice
 closes the principal ideals under pairwise sums with np.unique,
 containment compares every pair of masks elementwise, covers test every
 pair for an ideal strictly between, each product is the closure under
-+ of the set of products ab, the presentation generators come from a
-set-based greedy that closes all multiples of the generators so far
-under + after each new one, and the radical steps every element through
-its powers. IdealLattice, reduced_generators and the lattice-read radical
-must agree with all of it.
++ of the set of products ab, each colon (Q : I) is the set of the a
+with every a*i in Q, looked up by its element tuple, the presentation
+generators come from a set-based greedy that closes all multiples of
+the generators so far under + after each new one, and the radical
+steps every element through its powers. IdealLattice,
+reduced_generators and the lattice-read radical must agree with all of
+it.
 """
 
 from typing import NamedTuple
@@ -25,6 +27,7 @@ class OracleLattice(NamedTuple):
     covers: list[tuple[int, int]]
     maximal_indices: list[int]
     product_table: np.ndarray
+    colon: np.ndarray
 
 
 def oracle_elements(ring: FiniteRing) -> list[tuple[int, ...]]:
@@ -90,8 +93,14 @@ def oracle_lattice(ring: FiniteRing) -> OracleLattice:
         for j in range(i, k):
             prods = ring.mul[np.ix_(arrs[i], arrs[j])]
             table[i, j] = table[j, i] = index_of[additive_closure(ring, prods)]
+    colon = np.zeros((k, k), dtype=np.int32)
+    for i in range(k):
+        # [q, a]: a*i in Q for every i in I, the mask of (Q : I)
+        quotients = masks[:, ring.mul[:, arrs[i]]].all(axis=2)
+        for q, quot in enumerate(quotients):
+            colon[q, i] = index_of[tuple(np.flatnonzero(quot).tolist())]
     generators = [oracle_generators(ring, els) for els in elements]
-    return OracleLattice(elements, generators, le, covers, maximal, table)
+    return OracleLattice(elements, generators, le, covers, maximal, table, colon)
 
 
 def oracle_radical(i: Ideal) -> tuple[int, ...]:

@@ -238,14 +238,16 @@ def test_product_table_matches_pairwise_products():
 
 
 def test_order_and_product_memory_is_small_in_the_lattice():
-    # le is one boolean gather of k x w x k entries, w = 1 on Z2^8, and
-    # product_table holds its int32 table and one colon block at a time;
-    # neither builds a float copy of the member masks. On Z2^8 there are
-    # k = 256 ideals; 2.0 and 6.2 bytes per k^2 were measured.
+    # le is one boolean gather of k x w x k entries, w = 1 on Z2^8,
+    # product_table holds its int32 table and one colon block at a time,
+    # and colon holds its int32 table and one k x k block of le; none
+    # builds a float copy of the member masks. Each is traced with the
+    # tables before it built. On Z2^8 there are k = 256 ideals; 2.0, 6.1
+    # and 6.1 bytes per k^2 were measured.
     lat = all_ideals(build_ring_text(" x ".join(["Z2"] * 8)))
     k = len(lat)
     assert lat.spanning.shape == (k, 1) == (256, 1)
-    for name, bound in (("le", 4), ("product_table", 8)):
+    for name, bound in (("le", 4), ("product_table", 8), ("colon", 8)):
         tracemalloc.start()
         try:
             getattr(lat, name)

@@ -3,14 +3,15 @@
 On the default corpus, on Hypothesis-drawn rings of at most 64
 elements and on LARGE_RINGS, both must give the same ideals in the same
 order, the same generators, and the same containment matrix, covers,
-maximal ideals and product table. The spanning sets the product table
-reads must generate their ideals, and be 0 past their first column
-exactly when the ideal is principal, and is_quasi_local must agree with
-the maximal ideals. On LARGE_RINGS, the number of primitive idempotents is pinned,
-and the lattice size is the product over them of the number of ideals
-inside A*e. The radicals, the Jacobson radical, reducedness and the
-squares and cubes that the checks read from the lattice must match the
-power loop and repeated ideal_product.
+maximal ideals, product table and colon table. The spanning sets the
+product table reads must generate their ideals, and be 0 past their
+first column exactly when the ideal is principal, and is_quasi_local
+must agree with the maximal ideals. On LARGE_RINGS, the number of
+primitive idempotents is pinned, and the lattice size is the product
+over them of the number of ideals inside A*e. The radicals, the
+Jacobson radical, reducedness and the squares and cubes that the checks
+read from the lattice must match the power loop and repeated
+ideal_product.
 """
 
 import numpy as np
@@ -53,6 +54,8 @@ def assert_matches_oracle(ring):
     assert lat.maximal_indices == ref.maximal_indices, ring.text
     assert lat.product_table.dtype == ref.product_table.dtype
     assert np.array_equal(lat.product_table, ref.product_table), ring.text
+    assert lat.colon.dtype == ref.colon.dtype
+    assert np.array_equal(lat.colon, ref.colon), ring.text
     return ref
 
 

@@ -22,7 +22,8 @@ rings is relabeled and then damaged.
 The blocks of the class cube of 1-triple zeros must count the oracle's
 triples and decide each predicate the triple-zero checks fold over them
 as the oracle's list does, and the three checks must not change when
-every x class is its own block.
+every x class is its own block. The lattice tables and the conditions
+of tmm_characterize must not change when each member is its own block.
 Quotients that share a live ring's tables, and equal ideals built
 outside the lattice, read the witnesses of one shared scan.
 """
@@ -546,6 +547,43 @@ def test_every_blocked_read_follows_the_one_budget(monkeypatch):
     monkeypatch.setattr(rings, "_BLOCK_ENTRIES", 1)
     assert results() == want
     assert all(max(n) > 1 for n in reads.values()), reads
+
+
+def test_lattice_tables_and_conditions_follow_the_one_budget(monkeypatch):
+    """Patched to one entry in rings, the block budget cuts product_table,
+    colon and the six conditions of every proper member, decided for the
+    whole lattice as the colon check does, into more than one block
+    each, where each reads one block at the default budget on Z4 x Z8;
+    the tables and the conditions stay the same, and the conditions are
+    tmm_characterize's."""
+    rings = importlib.import_module("idealis.rings")
+    scans = importlib.import_module("idealis.classify")
+    reads = []
+
+    def counted(rows, width):
+        blocks = list(rings._row_blocks(rows, width))
+        reads[-1] += len(blocks)
+        return iter(blocks)
+    monkeypatch.setattr(importlib.import_module("idealis.ideals"), "_row_blocks", counted)
+    monkeypatch.setattr(scans, "_row_blocks", counted)
+
+    def results():
+        lat = all_ideals(build_ring_text("Z4 x Z8"))     # a new ring, no table built
+        lat.le
+        reads.clear()
+        out = []
+        for read in (lambda: lat.product_table.tolist(), lambda: lat.colon.tolist(),
+                     lambda: list(scans._tmm_conditions(lat, np.arange(len(lat) - 1)))):
+            reads.append(0)
+            out.append(read())
+        return out
+    want = results()
+    assert reads == [1, 1, 1]
+    monkeypatch.setattr(rings, "_BLOCK_ENTRIES", 1)
+    assert results() == want
+    assert all(n > 1 for n in reads), reads
+    lat = all_ideals(build_ring_text("Z4 x Z8"))
+    assert want[-1] == [tmm_characterize(p) for p in lat.proper]
 
 
 def test_one_absorbing_table_cells_on_large_rings(monkeypatch):
